@@ -7,6 +7,9 @@
 package kvstore
 
 import (
+	"slices"
+	"sync"
+
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/vm"
@@ -51,9 +54,38 @@ type Store struct {
 	logHead uint64
 }
 
-// NewStore builds and populates a store (population is instantaneous —
-// it happens before the measured run, like YCSB's load phase).
+// NewStore returns a populated store (population is instantaneous — it
+// happens before the measured run, like YCSB's load phase). Population
+// depends on cfg alone, so it runs once per Config into an immutable
+// image; each store gets its own copy of the image's hash table and
+// shares its arena.
 func NewStore(cfg Config) *Store {
+	img := image(cfg)
+	s := *img
+	s.slots = slices.Clone(img.slots)
+	return &s
+}
+
+// Populated images are cached per Config for the life of the process,
+// like graph instances: stores never modify an image, only their copy.
+var (
+	imagesMu sync.Mutex
+	images   = map[Config]*Store{}
+)
+
+func image(cfg Config) *Store {
+	imagesMu.Lock()
+	defer imagesMu.Unlock()
+	if img, ok := images[cfg]; ok {
+		return img
+	}
+	img := populate(cfg)
+	images[cfg] = img
+	return img
+}
+
+// populate builds a store and inserts cfg.Keys records.
+func populate(cfg Config) *Store {
 	nSlots := uint64(1)
 	for nSlots < cfg.Keys*2 {
 		nSlots <<= 1
@@ -69,7 +101,8 @@ func NewStore(cfg Config) *Store {
 	return s
 }
 
-// Arena exposes the store's objects for placement experiments.
+// Arena exposes the store's objects for placement experiments. Stores
+// built from one Config share it; it must not be modified.
 func (s *Store) Arena() *vm.Arena { return s.arena }
 
 func (s *Store) allocValue() uint64 {

@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/moatlab/melody/internal/core"
@@ -127,5 +128,36 @@ func TestSpecsShape(t *testing.T) {
 		if s.New == nil || s.Suite != "Redis" {
 			t.Fatalf("bad spec %+v", s)
 		}
+	}
+}
+
+// TestStoreClonesAreIndependent runs a write-heavy YCSB mix on one
+// store and requires the shared image, and every later store, to stay
+// as population left them: each run starts from the same data.
+func TestStoreClonesAreIndependent(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Keys++ // a Config no other test has populated
+	ref := populate(cfg)
+	mix := Mix{Read: 0.2, Update: 0.3, Insert: 0.3, RMW: 0.2}
+
+	run := func() (*YCSB, float64) {
+		y := NewYCSB("clone", cfg, mix, 3)
+		m := newMachine(150)
+		y.Run(m)
+		return y, m.Counters()[counters.Cycles]
+	}
+	first, cycles := run()
+	if first.maxKey == cfg.Keys || first.store.logHead == ref.logHead {
+		t.Fatal("the mix inserted or updated nothing")
+	}
+	img := image(cfg)
+	if img.logHead != ref.logHead || !slices.Equal(img.slots, ref.slots) {
+		t.Fatal("running YCSB on a store changed the shared image")
+	}
+	if next := NewStore(cfg); next.logHead != ref.logHead || !slices.Equal(next.slots, ref.slots) {
+		t.Fatal("a store built after a run does not start from the populated state")
+	}
+	if _, again := run(); again != cycles {
+		t.Fatalf("a second run on a new store took %v cycles, the first %v", again, cycles)
 	}
 }

@@ -12,17 +12,36 @@ type Cache struct {
 	sets, ways int
 
 	// Per-entry state, indexed by set*ways+way. A line's entry stores
-	// the full line number (addr / LineSize) + 1, with 0 = invalid, so
-	// evictions can reconstruct victim addresses.
+	// the full line number (addr / LineSize) + 1 in its low lineBits, so
+	// evictions can reconstruct victim addresses, tagged with the
+	// cache's current epoch above them. An entry below tag is invalid:
+	// Reset starts a new epoch instead of clearing the arrays.
 	lines []uint64
 	ready []float64 // time the line's data is available (ns)
 	dirty []bool
 	tick  []uint64 // LRU clock values
 
+	tag   uint64 // current epoch << lineBits; never 0
 	clock uint64
 
 	hits, misses uint64
+
+	// PreloadRange bookkeeping since Reset: lines it installed and the
+	// line ranges it covered.
+	preloaded uint64
+	spans     []span
 }
+
+// Line numbers occupy the low lineBits of an entry, which bounds
+// addresses below 2^54 bytes; the epoch takes the 16 bits above.
+const (
+	lineBits = 48
+	lineMask = 1<<lineBits - 1
+	maxTag   = (1<<16 - 1) << lineBits
+)
+
+// span is a half-open range of line numbers.
+type span struct{ lo, hi uint64 }
 
 // New builds a cache of the given total size and associativity. Size is
 // rounded down to a whole number of sets. It panics if the geometry is
@@ -35,31 +54,31 @@ func New(sizeBytes uint64, ways int) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	c := &Cache{sets: sets, ways: ways}
-	c.alloc()
-	return c
-}
-
-func (c *Cache) alloc() {
-	n := c.sets * c.ways
-	c.lines = make([]uint64, n)
-	c.ready = make([]float64, n)
-	c.dirty = make([]bool, n)
-	c.tick = make([]uint64, n)
-	c.clock = 0
-	c.hits, c.misses = 0, 0
-}
-
-// Reset invalidates every line and clears statistics.
-func (c *Cache) Reset() {
-	for i := range c.lines {
-		c.lines[i] = 0
-		c.ready[i] = 0
-		c.dirty[i] = false
-		c.tick[i] = 0
+	n := sets * ways
+	return &Cache{
+		sets:  sets,
+		ways:  ways,
+		lines: make([]uint64, n),
+		ready: make([]float64, n),
+		dirty: make([]bool, n),
+		tick:  make([]uint64, n),
+		tag:   1 << lineBits,
 	}
+}
+
+// Reset invalidates every line and clears statistics in O(1): it moves
+// to the next epoch, which turns every stored entry invalid. Only when
+// the 16-bit epoch wraps are the line entries cleared.
+func (c *Cache) Reset() {
+	if c.tag == maxTag {
+		clear(c.lines)
+		c.tag = 0
+	}
+	c.tag += 1 << lineBits
 	c.clock = 0
 	c.hits, c.misses = 0, 0
+	c.preloaded = 0
+	c.spans = c.spans[:0]
 }
 
 // Sets and Ways expose the geometry.
@@ -80,7 +99,7 @@ func (c *Cache) set(addr uint64) int {
 // Probe looks addr up and returns the entry index on a hit. It counts
 // hit/miss statistics and refreshes LRU state on hits.
 func (c *Cache) Probe(addr uint64) (entry int, hit bool) {
-	line := addr/mem.LineSize + 1
+	line := (addr/mem.LineSize + 1) | c.tag
 	base := c.set(addr) * c.ways
 	for w := 0; w < c.ways; w++ {
 		if c.lines[base+w] == line {
@@ -97,7 +116,7 @@ func (c *Cache) Probe(addr uint64) (entry int, hit bool) {
 // Peek is Probe without statistics or LRU updates (for prefetcher
 // filtering).
 func (c *Cache) Peek(addr uint64) (entry int, hit bool) {
-	line := addr/mem.LineSize + 1
+	line := (addr/mem.LineSize + 1) | c.tag
 	base := c.set(addr) * c.ways
 	for w := 0; w < c.ways; w++ {
 		if c.lines[base+w] == line {
@@ -130,15 +149,20 @@ type Victim struct {
 // way of its set if needed. Inserting an already-present line refreshes
 // it in place (keeping its dirty bit).
 func (c *Cache) Insert(addr uint64, readyAt float64, dirty bool) Victim {
-	line := addr/mem.LineSize + 1
+	c.clock++
+	return c.insert(addr, readyAt, dirty, c.clock)
+}
+
+// insert is Insert with the LRU tick given; the caller owns the clock.
+func (c *Cache) insert(addr uint64, readyAt float64, dirty bool, tick uint64) Victim {
+	line := (addr/mem.LineSize + 1) | c.tag
 	base := c.set(addr) * c.ways
 	victimWay := 0
 	oldest := ^uint64(0)
 	for w := 0; w < c.ways; w++ {
 		e := base + w
 		if c.lines[e] == line {
-			c.clock++
-			c.tick[e] = c.clock
+			c.tick[e] = tick
 			if readyAt < c.ready[e] {
 				c.ready[e] = readyAt
 			}
@@ -147,7 +171,7 @@ func (c *Cache) Insert(addr uint64, readyAt float64, dirty bool) Victim {
 			}
 			return Victim{}
 		}
-		if c.lines[e] == 0 {
+		if c.lines[e] < c.tag {
 			// Prefer invalid ways outright.
 			victimWay = w
 			oldest = 0
@@ -158,15 +182,74 @@ func (c *Cache) Insert(addr uint64, readyAt float64, dirty bool) Victim {
 	}
 	e := base + victimWay
 	var v Victim
-	if c.lines[e] != 0 {
-		v = Victim{Addr: (c.lines[e] - 1) * mem.LineSize, Dirty: c.dirty[e], Evicted: true}
+	if c.lines[e] >= c.tag {
+		v = Victim{Addr: (c.lines[e]&lineMask - 1) * mem.LineSize, Dirty: c.dirty[e], Evicted: true}
 	}
-	c.clock++
 	c.lines[e] = line
 	c.ready[e] = readyAt
 	c.dirty[e] = dirty
-	c.tick[e] = c.clock
+	c.tick[e] = tick
 	return v
+}
+
+// PreloadRange installs the n consecutive lines starting at addr's line
+// as clean lines ready at time 0, dropping any victims. It leaves
+// exactly the state of Insert(addr+i*LineSize, 0, false) for i = 0..n-1
+// in order — lines, readiness, dirty bits, LRU ticks and clock — but
+// fills set by set: line i lands in its set's highest invalid way with
+// tick clock+i+1, which is where that Insert would put it, so each
+// set's entries are written in one contiguous pass instead of one pass
+// over the whole cache per way. A full set falls back to insert's LRU
+// choice. The set-major order is only valid when no line of the range
+// can already be present, so the cache falls back to the plain Insert
+// loop when it has seen any operation other than PreloadRange since
+// Reset, or when the range overlaps an earlier one.
+func (c *Cache) PreloadRange(addr, n uint64) {
+	if n == 0 {
+		return
+	}
+	first := addr / mem.LineSize
+	r := span{first, first + n}
+	bulk := c.hits == 0 && c.misses == 0 && c.clock == c.preloaded
+	for _, p := range c.spans {
+		if r.lo < p.hi && p.lo < r.hi {
+			bulk = false
+		}
+	}
+	c.spans = append(c.spans, r)
+	c.preloaded += n
+	if !bulk {
+		for i := uint64(0); i < n; i++ {
+			c.Insert(addr+i*mem.LineSize, 0, false)
+		}
+		return
+	}
+	clock0 := c.clock
+	sets := uint64(c.sets)
+	s := first % sets
+	for k := uint64(0); k < n && k < sets; k++ {
+		base := int(s) * c.ways
+		w := c.ways - 1
+		for i := k; i < n; i += sets {
+			for w >= 0 && c.lines[base+w] >= c.tag {
+				w--
+			}
+			if w < 0 {
+				c.insert((first+i)*mem.LineSize, 0, false, clock0+i+1)
+				continue
+			}
+			e := base + w
+			c.lines[e] = (first + i + 1) | c.tag
+			c.ready[e] = 0
+			c.dirty[e] = false
+			c.tick[e] = clock0 + i + 1
+			w--
+		}
+		if s++; s == sets {
+			s = 0
+		}
+	}
+	c.clock = clock0 + n
 }
 
 // Invalidate drops addr if present, returning its victim record.

@@ -121,9 +121,20 @@ type Machine struct {
 	preloaded uint64
 }
 
-// New builds a Machine over cfg. The device is not Reset; callers own
-// device lifecycle so contended setups can share one device.
+// New builds a Machine over cfg: Reset on a zero Machine. The device is
+// not Reset; callers own device lifecycle so contended setups can share
+// one device.
 func New(cfg Config) *Machine {
+	m := &Machine{}
+	m.Reset(cfg)
+	return m
+}
+
+// Reset returns m to the state New(cfg) builds, reusing its caches,
+// prefetchers and queues where cfg keeps their geometry: caches reset
+// in O(1), so a reused machine pays only for the state a cell touches.
+// Samples and region stats handed out before Reset are not reused.
+func (m *Machine) Reset(cfg Config) {
 	cpu := cfg.CPU
 	if cpu.FreqGHz <= 0 || cpu.RetireWidth <= 0 {
 		panic("core: invalid CPU config")
@@ -132,23 +143,30 @@ func New(cfg Config) *Machine {
 	if l2pfMax <= 0 {
 		l2pfMax = 24
 	}
-	m := &Machine{
+	old := m.cfg.CPU
+	*m = Machine{
 		cfg:        cfg,
 		dev:        cfg.Device,
 		nsPerCycle: 1 / cpu.FreqGHz,
-		l1:         cache.New(cpu.L1DBytes, 8),
-		l2:         cache.New(cpu.L2Bytes, 16),
-		l3:         cache.New(cpu.L3Bytes, 16),
-		l1pf:       prefetch.New(prefetch.L1Config()),
-		l2pf:       prefetch.New(prefetch.L2Config()),
-		lfb:        &sim.TimeHeap{},
-		sb:         &sim.TimeHeap{},
-		l2pfQ:      &sim.TimeHeap{},
+		l1:         resetCache(m.l1, old.L1DBytes, cpu.L1DBytes, 8),
+		l2:         resetCache(m.l2, old.L2Bytes, cpu.L2Bytes, 16),
+		l3:         resetCache(m.l3, old.L3Bytes, cpu.L3Bytes, 16),
+		l1pf:       resetStreamer(m.l1pf, prefetch.L1Config()),
+		l2pf:       resetStreamer(m.l2pf, prefetch.L2Config()),
+		lfb:        resetHeap(m.lfb),
+		sb:         resetHeap(m.sb),
+		l2pfQ:      resetHeap(m.l2pfQ),
 		l2pfMax:    l2pfMax,
+		robRing:    m.robRing,
+		pfBuf:      m.pfBuf[:0],
 	}
 	m.issueStep = m.nsPerCycle / float64(cpu.RetireWidth)
 	m.robWindow = float64(cpu.ROB) / float64(cpu.RetireWidth) * m.nsPerCycle
-	m.robRing = make([]float64, cpu.ROB)
+	if len(m.robRing) == cpu.ROB {
+		clear(m.robRing)
+	} else {
+		m.robRing = make([]float64, cpu.ROB)
+	}
 	if cfg.SampleIntervalNs > 0 {
 		m.nextSampleNs = cfg.SampleIntervalNs
 	}
@@ -157,7 +175,32 @@ func New(cfg Config) *Machine {
 		m.hookStepNs = float64(cfg.SampleEveryCycles) * m.nsPerCycle
 		m.nextHookNs = m.hookStepNs
 	}
-	return m
+}
+
+// resetCache empties c when it was built for the same size, and builds
+// a new cache otherwise (including when c is nil).
+func resetCache(c *cache.Cache, oldBytes, bytes uint64, ways int) *cache.Cache {
+	if c == nil || oldBytes != bytes {
+		return cache.New(bytes, ways)
+	}
+	c.Reset()
+	return c
+}
+
+func resetStreamer(s *prefetch.Streamer, cfg prefetch.Config) *prefetch.Streamer {
+	if s == nil {
+		return prefetch.New(cfg)
+	}
+	s.Reset()
+	return s
+}
+
+func resetHeap(h *sim.TimeHeap) *sim.TimeHeap {
+	if h == nil {
+		return &sim.TimeHeap{}
+	}
+	h.Reset()
+	return h
 }
 
 // latencies in ns.

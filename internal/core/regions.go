@@ -47,16 +47,11 @@ func (m *Machine) regionIndex(addr uint64) int {
 func (m *Machine) Preload(base, size uint64) {
 	capacity := uint64(float64(m.l3.Sets()*m.l3.Ways()) * 0.85)
 	l2cap := uint64(float64(m.l2.Sets()*m.l2.Ways()) * 0.5)
-	lines := size / mem.LineSize
-	for i := uint64(0); i < lines; i++ {
-		if m.preloaded >= capacity {
-			return
-		}
-		addr := base + i*mem.LineSize
-		m.l3.Insert(addr, 0, false)
-		if i < l2cap {
-			m.l2.Insert(addr, 0, false)
-		}
-		m.preloaded++
+	if m.preloaded >= capacity {
+		return
 	}
+	n := min(size/mem.LineSize, capacity-m.preloaded)
+	m.l3.PreloadRange(base, n)
+	m.l2.PreloadRange(base, min(n, l2cap))
+	m.preloaded += n
 }

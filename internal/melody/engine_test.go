@@ -2,10 +2,12 @@ package melody
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/platform"
@@ -94,6 +96,40 @@ func TestSchedulingOrderIndependence(t *testing.T) {
 			t.Fatalf("cell %s on %s depends on submission order",
 				cells[i].Spec.Name, cells[i].Config.Name)
 		}
+	}
+}
+
+// TestReusedMachineKeepsResults runs two cells on one worker, so the
+// second reuses the first's machine, and requires the first cell's
+// Regions and Samples — which experiments read long after — to stay
+// as they were.
+func TestReusedMachineKeepsResults(t *testing.T) {
+	RegisterWorkloads()
+	emr := platform.EMR2S()
+	r := fastRunner(emr)
+	r.Instructions, r.Warmup = 100_000, 25_000
+	r.SampleIntervalNs = 10_000
+	r.Workers = 1
+	run := func(name string) Result {
+		spec, ok := workload.ByName(name)
+		if !ok {
+			t.Fatalf("workload %s missing", name)
+		}
+		res, err := r.RunAll(context.Background(), []RunRequest{{Spec: spec, Config: Local(emr)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res[0]
+	}
+	first := run("605.mcf_s")
+	if len(first.Regions) == 0 || len(first.Samples) == 0 {
+		t.Fatalf("cell has %d regions and %d samples; the test needs both", len(first.Regions), len(first.Samples))
+	}
+	regions := append([]core.RegionStat(nil), first.Regions...)
+	samples := append([]core.Sample(nil), first.Samples...)
+	run("520.omnetpp_r")
+	if !reflect.DeepEqual(first.Regions, regions) || !reflect.DeepEqual(first.Samples, samples) {
+		t.Fatal("a later cell on the reused machine changed an earlier result's Regions or Samples")
 	}
 }
 

@@ -163,7 +163,8 @@ type Runner struct {
 	// costs a nil check per cell, nothing per simulated access.
 	Obs *Telemetry
 
-	cache resultCache
+	cache    resultCache
+	machines machinePool
 }
 
 // NewRunner returns a Runner with the defaults used across experiments.
@@ -422,7 +423,9 @@ func (r *Runner) runOnce(req RunRequest) Result {
 		cfg.Sampler = smp
 		cfg.SampleEveryCycles = r.SampleEveryCycles
 	}
-	m := core.New(cfg)
+	m := r.machines.get()
+	defer r.machines.put(m, r.workers())
+	m.Reset(cfg)
 	if syn, ok := w.(*workload.Synthetic); ok {
 		m.SetRegions(syn.Arena().Objects())
 	}
@@ -461,6 +464,37 @@ func (r *Runner) runOnce(req RunRequest) Result {
 		Samples:  m.Samples(),
 		Sampled:  sampled,
 		Regions:  m.RegionStats(),
+	}
+}
+
+// machinePool keeps idle machines for the Runner's workers, so a cell
+// resets a machine instead of allocating one. Reset leaves a reused
+// machine in exactly the state of a new one, so reuse cannot change a
+// result.
+type machinePool struct {
+	mu   sync.Mutex
+	free []*core.Machine
+}
+
+// get returns an idle machine, or a zero one to Reset.
+func (p *machinePool) get() *core.Machine {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return &core.Machine{}
+	}
+	m := p.free[n-1]
+	p.free = p.free[:n-1]
+	return m
+}
+
+// put returns m to the pool, keeping at most limit idle machines.
+func (p *machinePool) put(m *core.Machine, limit int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if len(p.free) < limit {
+		p.free = append(p.free, m)
 	}
 }
 

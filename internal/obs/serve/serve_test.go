@@ -161,9 +161,13 @@ func TestEventsSSEStream(t *testing.T) {
 
 // TestSlowEventsClientSeesDrops is the backpressure contract end to
 // end: a deliberately slow /events client (connected but not draining)
-// loses the oldest events, the loss is visible as a drop counter on
-// /metrics, and the publisher's wall time stays bounded — the engine
-// never waits for a scraper.
+// loses events, the loss is visible as a drop counter on /metrics, and
+// the stream the client finally reads has a seq gap. Where the gap
+// falls depends on how much the HTTP writer got into socket buffers
+// first, so the test asserts only that there is one; the drop-oldest
+// order itself is pinned against an in-memory subscriber by
+// TestHubDropOldest, and the publisher's independence from a wedged
+// client by TestHubPublishNeverBlocks.
 func TestSlowEventsClientSeesDrops(t *testing.T) {
 	reg := obs.NewRegistry()
 	s := New(reg, nil)
@@ -188,14 +192,9 @@ func TestSlowEventsClientSeesDrops(t *testing.T) {
 	// HTTP writer goroutine drains some into kernel buffers; everything
 	// beyond queue capacity + buffering is dropped oldest-first.
 	const published = 200_000
-	start := time.Now()
 	for i := 0; i < published; i++ {
-		h := s.Hub()
-		h.Publish(Event{Type: EventCell, Experiment: "fig5", Done: i, Total: published,
+		s.Hub().Publish(Event{Type: EventCell, Experiment: "fig5", Done: i, Total: published,
 			Title: strings.Repeat("x", 64)})
-	}
-	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("publishing %d events with a wedged client took %v", published, el)
 	}
 
 	// Drops must be visible on /metrics via the observatory registry.
@@ -208,27 +207,36 @@ func TestSlowEventsClientSeesDrops(t *testing.T) {
 		t.Fatalf("/metrics missing drop counter:\n%s", body)
 	}
 
-	// The slow client finally reads: the first event it sees is far
-	// beyond seq 1 — the oldest were dropped, not the newest.
+	// The slow client finally reads the whole stream. The newest event
+	// is never dropped, so reading up to it sees every delivered event,
+	// and the dropped ones leave a gap somewhere.
 	r := bufio.NewReader(resp.Body)
-	var firstSeq uint64
-	deadline = time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
+	var prev, delivered uint64
+	gap := false
+	for prev < published {
 		line, err := r.ReadString('\n')
 		if err != nil {
-			t.Fatalf("stream read: %v", err)
+			t.Fatalf("stream read after seq %d: %v", prev, err)
 		}
-		if strings.HasPrefix(line, "data: ") {
-			var ev Event
-			if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(line), "data: ")), &ev); err != nil {
-				t.Fatal(err)
-			}
-			firstSeq = ev.Seq
-			break
+		if !strings.HasPrefix(line, "data: ") {
+			continue
 		}
+		var ev Event
+		if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(line), "data: ")), &ev); err != nil {
+			t.Fatal(err)
+		}
+		if ev.Seq <= prev {
+			t.Fatalf("seq %d delivered after %d", ev.Seq, prev)
+		}
+		gap = gap || ev.Seq > prev+1
+		prev = ev.Seq
+		delivered++
 	}
-	if firstSeq <= 1 {
-		t.Fatalf("first delivered seq = %d; expected a gap from dropped-oldest", firstSeq)
+	if !gap {
+		t.Fatalf("stream of %d events has no seq gap despite %d drops", delivered, dropped)
+	}
+	if delivered+dropped != published {
+		t.Fatalf("%d delivered + %d dropped != %d published", delivered, dropped, published)
 	}
 }
 

@@ -63,9 +63,7 @@ func New(cfg Config) *Streamer {
 
 // Reset clears all stream state.
 func (s *Streamer) Reset() {
-	for i := range s.entries {
-		s.entries[i] = entry{}
-	}
+	clear(s.entries)
 	s.observed, s.trained = 0, 0
 }
 

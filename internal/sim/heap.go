@@ -13,6 +13,9 @@ func NewTimeHeap(n int) *TimeHeap {
 	return &TimeHeap{ts: make([]float64, n)}
 }
 
+// Reset empties the heap, keeping its storage.
+func (h *TimeHeap) Reset() { h.ts = h.ts[:0] }
+
 // Len returns the number of timestamps in the heap.
 func (h *TimeHeap) Len() int { return len(h.ts) }
 
