@@ -43,13 +43,20 @@ type slot struct {
 	valAddr uint64
 }
 
+// pageSlots is the number of hash-table slots per copy-on-write page.
+const pageSlots = 4096
+
 // Store is the functional KV store bound to simulated memory.
 type Store struct {
-	cfg     Config
-	arena   *vm.Arena
-	table   vm.Object
-	values  vm.Object
-	slots   []slot
+	cfg    Config
+	arena  *vm.Arena
+	table  vm.Object
+	values vm.Object
+	// The hash table, in pages of pageSlots slots (one shorter page for
+	// tables below that). A page is shared with the populated image
+	// until the store first writes it; owned marks the pages it copied.
+	pages   [][]slot
+	owned   []bool
 	nSlots  uint64
 	logHead uint64
 }
@@ -57,17 +64,19 @@ type Store struct {
 // NewStore returns a populated store (population is instantaneous — it
 // happens before the measured run, like YCSB's load phase). Population
 // depends on cfg alone, so it runs once per Config into an immutable
-// image; each store gets its own copy of the image's hash table and
-// shares its arena.
+// image; each store shares the image's arena and hash-table pages, and
+// copies a page only when it first writes to it.
 func NewStore(cfg Config) *Store {
 	img := image(cfg)
 	s := *img
-	s.slots = slices.Clone(img.slots)
+	s.pages = slices.Clone(img.pages)
+	s.owned = make([]bool, len(img.pages))
 	return &s
 }
 
 // Populated images are cached per Config for the life of the process,
-// like graph instances: stores never modify an image, only their copy.
+// like graph instances: stores never modify an image's pages, only
+// their copies of them.
 var (
 	imagesMu sync.Mutex
 	images   = map[Config]*Store{}
@@ -94,7 +103,11 @@ func populate(cfg Config) *Store {
 	s.arena = vm.New(4 << 30)
 	s.table = s.arena.Alloc("hashtable", nSlots*16)
 	s.values = s.arena.Alloc("valuelog", (cfg.Keys+cfg.Keys/4)*cfg.ValueSize)
-	s.slots = make([]slot, nSlots)
+	pageLen := min(nSlots, pageSlots)
+	for range nSlots / pageLen {
+		s.pages = append(s.pages, make([]slot, pageLen))
+		s.owned = append(s.owned, true)
+	}
 	for k := uint64(1); k <= cfg.Keys; k++ {
 		s.insert(k, s.allocValue())
 	}
@@ -118,13 +131,25 @@ func hashKey(k uint64) uint64 {
 	return k
 }
 
+func (s *Store) at(h uint64) slot { return s.pages[h/pageSlots][h%pageSlots] }
+
+// put writes slot h, first copying its page if the store shares it.
+func (s *Store) put(h uint64, sl slot) {
+	p := h / pageSlots
+	if !s.owned[p] {
+		s.pages[p] = slices.Clone(s.pages[p])
+		s.owned[p] = true
+	}
+	s.pages[p][h%pageSlots] = sl
+}
+
 // insert adds a key without simulation (load phase only).
 func (s *Store) insert(key, valAddr uint64) {
 	h := hashKey(key) & (s.nSlots - 1)
-	for s.slots[h].key != 0 && s.slots[h].key != key {
+	for k := s.at(h).key; k != 0 && k != key; k = s.at(h).key {
 		h = (h + 1) & (s.nSlots - 1)
 	}
-	s.slots[h] = slot{key: key, valAddr: valAddr}
+	s.put(h, slot{key: key, valAddr: valAddr})
 }
 
 func (s *Store) slotAddr(h uint64) uint64 { return s.table.Base + h*16 }
@@ -138,7 +163,7 @@ func (s *Store) lookup(m *core.Machine, key uint64) (idx uint64, found bool) {
 		// collisions, on having read the previous slot: dependent.
 		m.Load(s.slotAddr(h), true)
 		m.Compute(6)
-		sl := s.slots[h]
+		sl := s.at(h)
 		if sl.key == key {
 			return h, true
 		}
@@ -156,7 +181,7 @@ func (s *Store) Get(m *core.Machine, key uint64) bool {
 	if !ok {
 		return false
 	}
-	addr := s.slots[idx].valAddr
+	addr := s.at(idx).valAddr
 	lines := (s.cfg.ValueSize + mem.LineSize - 1) / mem.LineSize
 	for i := uint64(0); i < lines; i++ {
 		// First line is pointer-dependent on the slot; the rest stream.
@@ -176,7 +201,7 @@ func (s *Store) Set(m *core.Machine, key uint64) {
 	for i := uint64(0); i < lines; i++ {
 		m.Store(addr + i*mem.LineSize)
 	}
-	s.slots[idx] = slot{key: key, valAddr: addr}
+	s.put(idx, slot{key: key, valAddr: addr})
 	m.Store(s.slotAddr(idx))
 	m.Compute(lines * 3)
 }

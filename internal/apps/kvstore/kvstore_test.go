@@ -1,6 +1,7 @@
 package kvstore
 
 import (
+	"math"
 	"slices"
 	"testing"
 
@@ -151,13 +152,76 @@ func TestStoreClonesAreIndependent(t *testing.T) {
 		t.Fatal("the mix inserted or updated nothing")
 	}
 	img := image(cfg)
-	if img.logHead != ref.logHead || !slices.Equal(img.slots, ref.slots) {
+	if img.logHead != ref.logHead || !slices.Equal(slots(img), slots(ref)) {
 		t.Fatal("running YCSB on a store changed the shared image")
 	}
-	if next := NewStore(cfg); next.logHead != ref.logHead || !slices.Equal(next.slots, ref.slots) {
+	if next := NewStore(cfg); next.logHead != ref.logHead || !slices.Equal(slots(next), slots(ref)) {
 		t.Fatal("a store built after a run does not start from the populated state")
 	}
 	if _, again := run(); again != cycles {
 		t.Fatalf("a second run on a new store took %v cycles, the first %v", again, cycles)
+	}
+}
+
+// slots flattens a store's hash table.
+func slots(s *Store) []slot { return slices.Concat(s.pages...) }
+
+// TestCopyOnWriteMatchesFullCopy runs YCSB-A, -D and -F on two stores
+// that share the image's pages and on a store that owns a full copy of
+// them, and requires bit-identical machine counters from all three and
+// an unchanged image afterwards.
+func TestCopyOnWriteMatchesFullCopy(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Keys = 3 << 12 // several pages; a Config no other test has populated
+	ref := populate(cfg)
+	for _, wl := range []string{"A", "D", "F"} {
+		run := func(full bool) counters.Snapshot {
+			y := NewYCSB("cow-"+wl, cfg, YCSBMixes()[wl], 5)
+			if full {
+				for p := range y.store.pages {
+					y.store.pages[p] = slices.Clone(y.store.pages[p])
+					y.store.owned[p] = true
+				}
+			}
+			m := newMachine(150)
+			y.Run(m)
+			return m.Counters()
+		}
+		want := run(true)
+		for clone := 0; clone < 2; clone++ {
+			if got := run(false); !bitsEqual(got, want) {
+				t.Fatalf("YCSB-%s on copy-on-write store %d: counters differ from a full copy", wl, clone)
+			}
+		}
+		img := image(cfg)
+		if img.logHead != ref.logHead || !slices.Equal(slots(img), slots(ref)) {
+			t.Fatalf("YCSB-%s changed the shared image", wl)
+		}
+	}
+}
+
+func bitsEqual(a, b counters.Snapshot) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// BenchmarkKVStoreNew builds a Redis-sized store from its cached image
+// and applies 1k Sets, which copy the hash-table pages they write.
+func BenchmarkKVStoreNew(b *testing.B) {
+	cfg := RedisConfig()
+	image(cfg)
+	m := newMachine(100)
+	m.SetMaxInstructions(0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := NewStore(cfg)
+		for k := uint64(1); k <= 1000; k++ {
+			s.Set(m, k*1021)
+		}
 	}
 }

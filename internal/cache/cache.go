@@ -26,10 +26,14 @@ type Cache struct {
 
 	hits, misses uint64
 
-	// PreloadRange bookkeeping since Reset: lines it installed and the
-	// line ranges it covered.
-	preloaded uint64
-	spans     []span
+	// Bulk PreloadRange spans since Reset not yet written to every set.
+	// A set whose stamp is not the current epoch has not had its share
+	// of them written; the first lookup that reaches it writes it.
+	// Once any set has been written, settled is set and later preloads
+	// go through Insert.
+	spans   []span
+	stamp   []uint16
+	settled bool
 }
 
 // Line numbers occupy the low lineBits of an entry, which bounds
@@ -40,8 +44,9 @@ const (
 	maxTag   = (1<<16 - 1) << lineBits
 )
 
-// span is a half-open range of line numbers.
-type span struct{ lo, hi uint64 }
+// span is a preloaded range: n consecutive line numbers from first,
+// with the clock value just before its first line.
+type span struct{ first, n, clock0 uint64 }
 
 // New builds a cache of the given total size and associativity. Size is
 // rounded down to a whole number of sets. It panics if the geometry is
@@ -62,23 +67,25 @@ func New(sizeBytes uint64, ways int) *Cache {
 		ready: make([]float64, n),
 		dirty: make([]bool, n),
 		tick:  make([]uint64, n),
+		stamp: make([]uint16, sets),
 		tag:   1 << lineBits,
 	}
 }
 
 // Reset invalidates every line and clears statistics in O(1): it moves
 // to the next epoch, which turns every stored entry invalid. Only when
-// the 16-bit epoch wraps are the line entries cleared.
+// the 16-bit epoch wraps are the line entries and set stamps cleared.
 func (c *Cache) Reset() {
 	if c.tag == maxTag {
 		clear(c.lines)
+		clear(c.stamp)
 		c.tag = 0
 	}
 	c.tag += 1 << lineBits
 	c.clock = 0
 	c.hits, c.misses = 0, 0
-	c.preloaded = 0
 	c.spans = c.spans[:0]
+	c.settled = false
 }
 
 // Sets and Ways expose the geometry.
@@ -96,11 +103,21 @@ func (c *Cache) set(addr uint64) int {
 	return int((addr / mem.LineSize) % uint64(c.sets))
 }
 
+// base returns the first entry of addr's set, after writing the set's
+// share of the pending preload spans if it has not been written yet.
+func (c *Cache) base(addr uint64) int {
+	s := c.set(addr)
+	if len(c.spans) > 0 && c.stamp[s] != uint16(c.tag>>lineBits) {
+		c.fill(s)
+	}
+	return s * c.ways
+}
+
 // Probe looks addr up and returns the entry index on a hit. It counts
 // hit/miss statistics and refreshes LRU state on hits.
 func (c *Cache) Probe(addr uint64) (entry int, hit bool) {
 	line := (addr/mem.LineSize + 1) | c.tag
-	base := c.set(addr) * c.ways
+	base := c.base(addr)
 	for w := 0; w < c.ways; w++ {
 		if c.lines[base+w] == line {
 			c.clock++
@@ -117,7 +134,7 @@ func (c *Cache) Probe(addr uint64) (entry int, hit bool) {
 // filtering).
 func (c *Cache) Peek(addr uint64) (entry int, hit bool) {
 	line := (addr/mem.LineSize + 1) | c.tag
-	base := c.set(addr) * c.ways
+	base := c.base(addr)
 	for w := 0; w < c.ways; w++ {
 		if c.lines[base+w] == line {
 			return base + w, true
@@ -150,13 +167,13 @@ type Victim struct {
 // it in place (keeping its dirty bit).
 func (c *Cache) Insert(addr uint64, readyAt float64, dirty bool) Victim {
 	c.clock++
-	return c.insert(addr, readyAt, dirty, c.clock)
+	return c.insert(c.base(addr), addr, readyAt, dirty, c.clock)
 }
 
-// insert is Insert with the LRU tick given; the caller owns the clock.
-func (c *Cache) insert(addr uint64, readyAt float64, dirty bool, tick uint64) Victim {
+// insert is Insert into the set starting at entry base with the LRU
+// tick given; the caller owns the clock.
+func (c *Cache) insert(base int, addr uint64, readyAt float64, dirty bool, tick uint64) Victim {
 	line := (addr/mem.LineSize + 1) | c.tag
-	base := c.set(addr) * c.ways
 	victimWay := 0
 	oldest := ^uint64(0)
 	for w := 0; w < c.ways; w++ {
@@ -193,63 +210,83 @@ func (c *Cache) insert(addr uint64, readyAt float64, dirty bool, tick uint64) Vi
 }
 
 // PreloadRange installs the n consecutive lines starting at addr's line
-// as clean lines ready at time 0, dropping any victims. It leaves
-// exactly the state of Insert(addr+i*LineSize, 0, false) for i = 0..n-1
-// in order — lines, readiness, dirty bits, LRU ticks and clock — but
-// fills set by set: line i lands in its set's highest invalid way with
-// tick clock+i+1, which is where that Insert would put it, so each
-// set's entries are written in one contiguous pass instead of one pass
-// over the whole cache per way. A full set falls back to insert's LRU
-// choice. The set-major order is only valid when no line of the range
-// can already be present, so the cache falls back to the plain Insert
-// loop when it has seen any operation other than PreloadRange since
-// Reset, or when the range overlaps an earlier one.
+// as clean lines ready at time 0, dropping any victims. Every later
+// operation reports exactly what it would after
+// Insert(addr+i*LineSize, 0, false) for i = 0..n-1 in order, and the
+// clock advances by n. While nothing has been inserted since Reset
+// but by preloads of disjoint ranges, and no set has been written yet,
+// PreloadRange only records the span: each set receives its share on
+// its first lookup (see fill), so a run pays only for the sets it
+// touches. Otherwise it writes every pending set and runs the Insert
+// loop.
 func (c *Cache) PreloadRange(addr, n uint64) {
 	if n == 0 {
 		return
 	}
 	first := addr / mem.LineSize
-	r := span{first, first + n}
-	bulk := c.hits == 0 && c.misses == 0 && c.clock == c.preloaded
+	lazy := !c.settled
+	end := uint64(0) // clock after the spans so far
 	for _, p := range c.spans {
-		if r.lo < p.hi && p.lo < r.hi {
-			bulk = false
+		if first < p.first+p.n && p.first < first+n {
+			lazy = false
 		}
+		end = p.clock0 + p.n
 	}
-	c.spans = append(c.spans, r)
-	c.preloaded += n
-	if !bulk {
-		for i := uint64(0); i < n; i++ {
-			c.Insert(addr+i*mem.LineSize, 0, false)
-		}
+	if lazy && c.clock == end {
+		c.spans = append(c.spans, span{first, n, c.clock})
+		c.clock += n
 		return
 	}
-	clock0 := c.clock
+	c.settle()
+	for i := uint64(0); i < n; i++ {
+		c.Insert(addr+i*mem.LineSize, 0, false)
+	}
+}
+
+// settle writes every set's share of the pending spans and drops them;
+// preloads go through Insert until the next Reset.
+func (c *Cache) settle() {
+	if len(c.spans) > 0 {
+		epoch := uint16(c.tag >> lineBits)
+		for s, st := range c.stamp {
+			if st != epoch {
+				c.fill(s)
+			}
+		}
+		c.spans = c.spans[:0]
+	}
+	c.settled = true
+}
+
+// fill writes set s's share of every pending span, span by span in
+// line order, where the Insert loop would have put it: line i of a
+// span lands in the set's highest invalid way with tick clock0+i+1,
+// and a full set falls back to insert's LRU choice. No line of a span
+// can already be present: spans are disjoint and nothing else was
+// inserted before them.
+func (c *Cache) fill(s int) {
+	c.stamp[s] = uint16(c.tag >> lineBits)
+	c.settled = true
 	sets := uint64(c.sets)
-	s := first % sets
-	for k := uint64(0); k < n && k < sets; k++ {
-		base := int(s) * c.ways
+	base := s * c.ways
+	for _, p := range c.spans {
 		w := c.ways - 1
-		for i := k; i < n; i += sets {
+		for i := (uint64(s) + sets - p.first%sets) % sets; i < p.n; i += sets {
 			for w >= 0 && c.lines[base+w] >= c.tag {
 				w--
 			}
 			if w < 0 {
-				c.insert((first+i)*mem.LineSize, 0, false, clock0+i+1)
+				c.insert(base, (p.first+i)*mem.LineSize, 0, false, p.clock0+i+1)
 				continue
 			}
 			e := base + w
-			c.lines[e] = (first + i + 1) | c.tag
+			c.lines[e] = (p.first + i + 1) | c.tag
 			c.ready[e] = 0
 			c.dirty[e] = false
-			c.tick[e] = clock0 + i + 1
+			c.tick[e] = p.clock0 + i + 1
 			w--
 		}
-		if s++; s == sets {
-			s = 0
-		}
 	}
-	c.clock = clock0 + n
 }
 
 // Invalidate drops addr if present, returning its victim record.

@@ -43,12 +43,13 @@ func Ablations(ec *ExperimentContext) *Report {
 	if instr == 0 {
 		instr = 500_000
 	}
+	var m core.Machine
 	for _, budget := range []int{8, 24, 64} {
 		dev := emr.CXLDevice(cxl.ProfileB(), o.seed())
 		w := spec.Build(o.seed())
-		m := core.New(core.Config{CPU: emr.CPU, Device: dev,
+		m.Reset(core.Config{CPU: emr.CPU, Device: dev,
 			MaxInstructions: instr, L2PFMaxInflight: budget})
-		w.Run(m)
+		w.Run(&m)
 		c := m.Counters()
 		r.Printf("  budget %2d: IPC %.2f  L2PF dropped %6.0f  L1PF-L3-miss %6.0f",
 			budget, c.IPC(), c[counters.L2PFDropped], c[counters.L1PFL3Miss])

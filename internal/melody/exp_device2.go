@@ -33,14 +33,15 @@ func fig7cLatencies(o Options) []fig7cRow {
 		instr = 1_500_000
 	}
 	var rows []fig7cRow
+	var m core.Machine
 	for _, c := range configs {
 		y := kvstore.NewYCSB("redis-ycsb-C", kvstore.RedisConfig(), kvstore.YCSBMixes()["C"], o.seed())
 		y.RecordOpLatency = true
-		m := core.New(core.Config{CPU: spr.CPU, Device: c.dev(), MaxInstructions: instr})
+		m.Reset(core.Config{CPU: spr.CPU, Device: c.dev(), MaxInstructions: instr})
 		for _, obj := range y.PreloadObjects() {
 			m.Preload(obj.Base, obj.Size)
 		}
-		y.Run(m)
+		y.Run(&m)
 		ps := stats.Percentiles(y.OpLatenciesNs, 50, 90, 99, 99.9)
 		rows = append(rows, fig7cRow{c.name, ps[0], ps[1], ps[2], ps[3]})
 	}

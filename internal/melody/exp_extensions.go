@@ -98,15 +98,16 @@ func TieringExp(ec *ExperimentContext) *Report {
 		instr = 800_000
 	}
 
+	var m core.Machine
 	runOn := func(mkDev func() mem.Device) float64 {
 		w := spec.Build(o.seed())
-		m := core.New(core.Config{CPU: host.CPU, Device: mkDev(), MaxInstructions: instr})
+		m.Reset(core.Config{CPU: host.CPU, Device: mkDev(), MaxInstructions: instr})
 		if pl, ok := w.(workload.Preloader); ok {
 			for _, obj := range pl.PreloadObjects() {
 				m.Preload(obj.Base, obj.Size)
 			}
 		}
-		w.Run(m)
+		w.Run(&m)
 		return m.Counters().IPC()
 	}
 

@@ -2,7 +2,10 @@ package hostprof
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"runtime/pprof"
+	"slices"
 	"testing"
 
 	"github.com/moatlab/melody/internal/obs/profile"
@@ -11,7 +14,7 @@ import (
 // encodeTestProfile builds a profile with the repo's own encoder —
 // parser and encoder round-tripping each other pins both sides of the
 // wire format without any external fixture.
-func encodeTestProfile(t *testing.T, gz bool) []byte {
+func encodeTestProfile(t testing.TB, gz bool) []byte {
 	t.Helper()
 	p := &profile.Profile{
 		SampleTypes: []profile.ValueType{
@@ -99,6 +102,39 @@ func TestParseRuntimeHeapProfile(t *testing.T) {
 			t.Fatal("sample with empty stack")
 		}
 	}
+}
+
+// FuzzHostprofParse feeds Parse arbitrary bytes, seeded with encoder
+// output: it must return a profile or an error, never panic. The same
+// bytes, read as little-endian int64 pairs, become the values of a
+// two-column profile that must survive an encode→parse round trip.
+func FuzzHostprofParse(f *testing.F) {
+	f.Add(encodeTestProfile(f, false))
+	f.Add(encodeTestProfile(f, true))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		Parse(data)
+
+		p := &profile.Profile{SampleTypes: []profile.ValueType{{Type: "a", Unit: "count"}, {Type: "b", Unit: "bytes"}}}
+		for i, b := 0, data; len(b) >= 16; i, b = i+1, b[16:] {
+			p.Samples = append(p.Samples, profile.Sample{
+				Stack:  []string{"main", fmt.Sprint("f", i)},
+				Values: []int64{int64(binary.LittleEndian.Uint64(b)), int64(binary.LittleEndian.Uint64(b[8:]))},
+			})
+		}
+		got, err := Parse(p.Encode())
+		if err != nil {
+			t.Fatalf("Parse(Encode()): %v", err)
+		}
+		if len(got.Samples) != len(p.Samples) {
+			t.Fatalf("round trip kept %d of %d samples", len(got.Samples), len(p.Samples))
+		}
+		for i, s := range got.Samples {
+			if !slices.Equal(s.Values, p.Samples[i].Values) {
+				t.Fatalf("sample %d values = %v, want %v", i, s.Values, p.Samples[i].Values)
+			}
+		}
+	})
 }
 
 func TestParseRejectsGarbage(t *testing.T) {

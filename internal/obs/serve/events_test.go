@@ -38,21 +38,39 @@ func TestHubDropOldest(t *testing.T) {
 	}
 }
 
+// TestHubPublishNeverBlocks publishes 50k events into the queues of
+// two wedged subscribers that never drain. Every publish returns, each
+// queue holds exactly its capacity of the newest events, and every
+// offer to a subscriber was either queued or counted as dropped.
 func TestHubPublishNeverBlocks(t *testing.T) {
-	h := NewHub(4, nil, nil)
-	// Two wedged subscribers that never drain.
-	h.Subscribe()
-	h.Subscribe()
-	start := time.Now()
-	for i := 0; i < 50_000; i++ {
+	const n, capacity = 50_000, 4
+	reg := obs.NewRegistry()
+	published, dropped := reg.Counter("published"), reg.Counter("dropped")
+	h := NewHub(capacity, published, dropped)
+	subs := []*Subscriber{h.Subscribe(), h.Subscribe()}
+	for i := 0; i < n; i++ {
 		h.Publish(Event{Type: EventCell, Done: i})
 	}
-	// 50k publishes into full queues must complete in interactive time:
-	// the engine's wall clock cannot depend on consumer behaviour. The
-	// bound is deliberately loose (CI machines), the property is "does
-	// not hang".
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("50k publishes with wedged subscribers took %v", el)
+	if got := published.Value(); got != n {
+		t.Fatalf("published = %d, want %d", got, n)
+	}
+	var queued uint64
+	for k, sub := range subs {
+		if got := sub.Pending(); got != capacity {
+			t.Fatalf("subscriber %d holds %d events, want its capacity %d", k, got, capacity)
+		}
+		evs, _ := sub.Next(context.Background())
+		for i, ev := range evs {
+			if want := n - capacity + i; ev.Done != want || ev.Seq != uint64(want+1) {
+				t.Fatalf("subscriber %d event %d: done %d seq %d, want the newest (done %d seq %d)",
+					k, i, ev.Done, ev.Seq, want, want+1)
+			}
+		}
+		queued += uint64(len(evs))
+	}
+	if got, want := queued+dropped.Value(), published.Value()*uint64(len(subs)); got != want {
+		t.Fatalf("queued %d + dropped %d = %d, want published x subscribers = %d",
+			queued, dropped.Value(), got, want)
 	}
 }
 

@@ -29,6 +29,39 @@ func TestParseTraceparentRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseTraceparent requires ParseTraceparent never to panic, and
+// every header it accepts to name the ids it carries: Traceparent()
+// renders them back as the header's own trace and parent fields, so a
+// sampled version-00 header formats back to itself exactly.
+func FuzzParseTraceparent(f *testing.F) {
+	for _, h := range []string{
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-00",
+		"01-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra",
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",
+		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",
+		"",
+	} {
+		f.Add(h)
+	}
+	f.Fuzz(func(t *testing.T, h string) {
+		sc, err := ParseTraceparent(h)
+		if err != nil {
+			return
+		}
+		out := sc.Traceparent()
+		if want := "00-" + h[3:52] + "-01"; out != want {
+			t.Fatalf("ParseTraceparent(%q).Traceparent() = %q, want %q", h, out, want)
+		}
+		if h[:2] == "00" && h[53:] == "01" && out != h {
+			t.Fatalf("ParseTraceparent(%q).Traceparent() = %q", h, out)
+		}
+		if again, err := ParseTraceparent(out); err != nil || again != sc {
+			t.Fatalf("re-parsing %q gave %+v, %v; want %+v", out, again, err, sc)
+		}
+	})
+}
+
 func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	for _, h := range []string{
 		"",
