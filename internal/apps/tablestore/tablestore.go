@@ -7,6 +7,8 @@
 package tablestore
 
 import (
+	"sync"
+
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/sim"
@@ -37,7 +39,7 @@ type Table struct {
 	rows  vm.Object // row pages
 	log   vm.Object // redo log
 
-	keys    []uint64 // sorted (dense keys: 1..Rows; kept explicit for realism)
+	keys    []uint64 // sorted (dense keys: 1..Rows; kept explicit for realism); shared, read-only
 	logHead uint64
 }
 
@@ -48,11 +50,30 @@ func NewTable(cfg Config) *Table {
 	t.index = t.arena.Alloc("index", cfg.Rows*8)
 	t.rows = t.arena.Alloc("rows", cfg.Rows*cfg.RowSize)
 	t.log = t.arena.Alloc("redolog", 256<<20)
-	t.keys = make([]uint64, cfg.Rows)
-	for i := range t.keys {
-		t.keys[i] = uint64(i) + 1
-	}
+	t.keys = sortedKeys(cfg.Rows)
 	return t
+}
+
+// Key arrays are cached per row count for the life of the process:
+// tables only read them, so every table of a size shares one.
+var (
+	keysMu sync.Mutex
+	keys   = map[uint64][]uint64{}
+)
+
+// sortedKeys returns the shared key array 1..rows.
+func sortedKeys(rows uint64) []uint64 {
+	keysMu.Lock()
+	defer keysMu.Unlock()
+	k, ok := keys[rows]
+	if !ok {
+		k = make([]uint64, rows)
+		for i := range k {
+			k[i] = uint64(i) + 1
+		}
+		keys[rows] = k
+	}
+	return k
 }
 
 // Arena exposes the table's objects.

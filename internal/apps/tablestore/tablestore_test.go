@@ -1,6 +1,7 @@
 package tablestore
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/moatlab/melody/internal/core"
@@ -112,6 +113,34 @@ func TestSpecsShape(t *testing.T) {
 	for _, s := range specs {
 		if s.New == nil || s.Suite != "VoltDB" {
 			t.Fatalf("bad spec %+v", s)
+		}
+	}
+}
+
+// TestTablesShareKeys builds YCSB tables of one size from several
+// goroutines and requires them to share one key array holding 1..Rows,
+// which running YCSB-F on one of them leaves unchanged.
+func TestTablesShareKeys(t *testing.T) {
+	ycsbs := make([]*YCSB, 4)
+	var wg sync.WaitGroup
+	for i := range ycsbs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			ycsbs[i] = NewYCSB("t", smallConfig(), Mixes()["F"], uint64(i))
+		}(i)
+	}
+	wg.Wait()
+	ycsbs[0].Run(newMachine(100))
+	keys := ycsbs[0].Table().keys
+	for i, y := range ycsbs {
+		if &y.Table().keys[0] != &keys[0] {
+			t.Fatalf("table %d has its own key array", i)
+		}
+	}
+	for i, k := range keys {
+		if k != uint64(i)+1 {
+			t.Fatalf("keys[%d] = %d, want %d", i, k, i+1)
 		}
 	}
 }

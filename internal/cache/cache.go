@@ -11,38 +11,31 @@ import "github.com/moatlab/melody/internal/mem"
 type Cache struct {
 	sets, ways int
 
-	// Per-entry state, indexed by set*ways+way. A line's entry stores
-	// the full line number (addr / LineSize) + 1 in its low lineBits, so
-	// evictions can reconstruct victim addresses, tagged with the
-	// cache's current epoch above them. An entry below tag is invalid:
-	// Reset starts a new epoch instead of clearing the arrays.
+	// A set gets storage only when it is first touched after Reset: a
+	// block of ways entries, handed out in touch order from the entry
+	// arrays, which grow on demand and are reused across Resets.
+	// slot[s] is 1 + set s's block, or 0 while s is untouched; owner
+	// lists the touched sets so Reset clears only their slots. An entry
+	// handle is block*ways+way. An entry stores the full line number
+	// (addr / LineSize) + 1, so evictions can reconstruct victim
+	// addresses; 0 marks it invalid.
+	slot  []uint32
+	owner []uint32
 	lines []uint64
 	ready []float64 // time the line's data is available (ns)
 	dirty []bool
 	tick  []uint64 // LRU clock values
 
-	tag   uint64 // current epoch << lineBits; never 0
 	clock uint64
 
 	hits, misses uint64
 
 	// Bulk PreloadRange spans since Reset not yet written to every set.
-	// A set whose stamp is not the current epoch has not had its share
-	// of them written; the first lookup that reaches it writes it.
-	// Once any set has been written, settled is set and later preloads
-	// go through Insert.
-	spans   []span
-	stamp   []uint16
-	settled bool
+	// An untouched set receives its share of them when its block is
+	// handed out. Once any set has storage, later preloads go through
+	// Insert.
+	spans []span
 }
-
-// Line numbers occupy the low lineBits of an entry, which bounds
-// addresses below 2^54 bytes; the epoch takes the 16 bits above.
-const (
-	lineBits = 48
-	lineMask = 1<<lineBits - 1
-	maxTag   = (1<<16 - 1) << lineBits
-)
 
 // span is a preloaded range: n consecutive line numbers from first,
 // with the clock value just before its first line.
@@ -59,33 +52,20 @@ func New(sizeBytes uint64, ways int) *Cache {
 	if sets < 1 {
 		sets = 1
 	}
-	n := sets * ways
-	return &Cache{
-		sets:  sets,
-		ways:  ways,
-		lines: make([]uint64, n),
-		ready: make([]float64, n),
-		dirty: make([]bool, n),
-		tick:  make([]uint64, n),
-		stamp: make([]uint16, sets),
-		tag:   1 << lineBits,
-	}
+	return &Cache{sets: sets, ways: ways, slot: make([]uint32, sets)}
 }
 
-// Reset invalidates every line and clears statistics in O(1): it moves
-// to the next epoch, which turns every stored entry invalid. Only when
-// the 16-bit epoch wraps are the line entries and set stamps cleared.
+// Reset invalidates every line and clears statistics. It costs one
+// store per set touched since the last Reset; the touched sets' blocks
+// return to the pool.
 func (c *Cache) Reset() {
-	if c.tag == maxTag {
-		clear(c.lines)
-		clear(c.stamp)
-		c.tag = 0
+	for _, s := range c.owner {
+		c.slot[s] = 0
 	}
-	c.tag += 1 << lineBits
+	c.owner = c.owner[:0]
 	c.clock = 0
 	c.hits, c.misses = 0, 0
 	c.spans = c.spans[:0]
-	c.settled = false
 }
 
 // Sets and Ways expose the geometry.
@@ -103,27 +83,67 @@ func (c *Cache) set(addr uint64) int {
 	return int((addr / mem.LineSize) % uint64(c.sets))
 }
 
-// base returns the first entry of addr's set, after writing the set's
-// share of the pending preload spans if it has not been written yet.
+// base returns the first entry of addr's set, handing the set a block
+// if it has none.
 func (c *Cache) base(addr uint64) int {
 	s := c.set(addr)
-	if len(c.spans) > 0 && c.stamp[s] != uint16(c.tag>>lineBits) {
-		c.fill(s)
+	if b := c.slot[s]; b != 0 {
+		return int(b-1) * c.ways
 	}
-	return s * c.ways
+	return c.claim(s)
+}
+
+// find is base for lookups: an untouched set with no pending preload
+// spans holds nothing, so it reports -1 without taking a block.
+func (c *Cache) find(addr uint64) int {
+	s := c.set(addr)
+	if b := c.slot[s]; b != 0 {
+		return int(b-1) * c.ways
+	}
+	if len(c.spans) == 0 {
+		return -1
+	}
+	return c.claim(s)
+}
+
+// claim hands set s the next block, cleared, and writes the set's share
+// of the pending preload spans into it.
+func (c *Cache) claim(s int) int {
+	b := len(c.owner)
+	c.owner = append(c.owner, uint32(s))
+	c.slot[s] = uint32(b) + 1
+	base, end := b*c.ways, (b+1)*c.ways
+	if end > len(c.lines) {
+		// Double the pool, up to one block per set: append alone grows
+		// large slices by a quarter, copying the pool many more times.
+		grow := min(max(len(c.lines), c.ways), c.sets*c.ways-len(c.lines))
+		c.lines = append(c.lines, make([]uint64, grow)...)
+		c.ready = append(c.ready, make([]float64, grow)...)
+		c.dirty = append(c.dirty, make([]bool, grow)...)
+		c.tick = append(c.tick, make([]uint64, grow)...)
+	}
+	clear(c.lines[base:end])
+	clear(c.ready[base:end])
+	clear(c.dirty[base:end])
+	clear(c.tick[base:end])
+	if len(c.spans) > 0 {
+		c.fill(s, base)
+	}
+	return base
 }
 
 // Probe looks addr up and returns the entry index on a hit. It counts
 // hit/miss statistics and refreshes LRU state on hits.
 func (c *Cache) Probe(addr uint64) (entry int, hit bool) {
-	line := (addr/mem.LineSize + 1) | c.tag
-	base := c.base(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w] == line {
-			c.clock++
-			c.tick[base+w] = c.clock
-			c.hits++
-			return base + w, true
+	if base := c.find(addr); base >= 0 {
+		line := addr/mem.LineSize + 1
+		for e, l := range c.lines[base : base+c.ways] {
+			if l == line {
+				c.clock++
+				c.tick[base+e] = c.clock
+				c.hits++
+				return base + e, true
+			}
 		}
 	}
 	c.misses++
@@ -133,11 +153,12 @@ func (c *Cache) Probe(addr uint64) (entry int, hit bool) {
 // Peek is Probe without statistics or LRU updates (for prefetcher
 // filtering).
 func (c *Cache) Peek(addr uint64) (entry int, hit bool) {
-	line := (addr/mem.LineSize + 1) | c.tag
-	base := c.base(addr)
-	for w := 0; w < c.ways; w++ {
-		if c.lines[base+w] == line {
-			return base + w, true
+	if base := c.find(addr); base >= 0 {
+		line := addr/mem.LineSize + 1
+		for e, l := range c.lines[base : base+c.ways] {
+			if l == line {
+				return base + e, true
+			}
 		}
 	}
 	return -1, false
@@ -173,7 +194,7 @@ func (c *Cache) Insert(addr uint64, readyAt float64, dirty bool) Victim {
 // insert is Insert into the set starting at entry base with the LRU
 // tick given; the caller owns the clock.
 func (c *Cache) insert(base int, addr uint64, readyAt float64, dirty bool, tick uint64) Victim {
-	line := (addr/mem.LineSize + 1) | c.tag
+	line := addr/mem.LineSize + 1
 	victimWay := 0
 	oldest := ^uint64(0)
 	for w := 0; w < c.ways; w++ {
@@ -188,7 +209,7 @@ func (c *Cache) insert(base int, addr uint64, readyAt float64, dirty bool, tick 
 			}
 			return Victim{}
 		}
-		if c.lines[e] < c.tag {
+		if c.lines[e] == 0 {
 			// Prefer invalid ways outright.
 			victimWay = w
 			oldest = 0
@@ -199,8 +220,8 @@ func (c *Cache) insert(base int, addr uint64, readyAt float64, dirty bool, tick 
 	}
 	e := base + victimWay
 	var v Victim
-	if c.lines[e] >= c.tag {
-		v = Victim{Addr: (c.lines[e]&lineMask - 1) * mem.LineSize, Dirty: c.dirty[e], Evicted: true}
+	if c.lines[e] != 0 {
+		v = Victim{Addr: (c.lines[e] - 1) * mem.LineSize, Dirty: c.dirty[e], Evicted: true}
 	}
 	c.lines[e] = line
 	c.ready[e] = readyAt
@@ -214,9 +235,9 @@ func (c *Cache) insert(base int, addr uint64, readyAt float64, dirty bool, tick 
 // operation reports exactly what it would after
 // Insert(addr+i*LineSize, 0, false) for i = 0..n-1 in order, and the
 // clock advances by n. While nothing has been inserted since Reset
-// but by preloads of disjoint ranges, and no set has been written yet,
-// PreloadRange only records the span: each set receives its share on
-// its first lookup (see fill), so a run pays only for the sets it
+// but by preloads of disjoint ranges, and no set has storage yet,
+// PreloadRange only records the span: each set receives its share when
+// it is first touched (see fill), so a run pays only for the sets it
 // touches. Otherwise it writes every pending set and runs the Insert
 // loop.
 func (c *Cache) PreloadRange(addr, n uint64) {
@@ -224,7 +245,7 @@ func (c *Cache) PreloadRange(addr, n uint64) {
 		return
 	}
 	first := addr / mem.LineSize
-	lazy := !c.settled
+	lazy := len(c.owner) == 0
 	end := uint64(0) // clock after the spans so far
 	for _, p := range c.spans {
 		if first < p.first+p.n && p.first < first+n {
@@ -243,36 +264,32 @@ func (c *Cache) PreloadRange(addr, n uint64) {
 	}
 }
 
-// settle writes every set's share of the pending spans and drops them;
-// preloads go through Insert until the next Reset.
+// settle hands a block to every untouched set, which writes its share
+// of the pending spans, and drops the spans.
 func (c *Cache) settle() {
-	if len(c.spans) > 0 {
-		epoch := uint16(c.tag >> lineBits)
-		for s, st := range c.stamp {
-			if st != epoch {
-				c.fill(s)
-			}
-		}
-		c.spans = c.spans[:0]
+	if len(c.spans) == 0 {
+		return
 	}
-	c.settled = true
+	for s, b := range c.slot {
+		if b == 0 {
+			c.claim(s)
+		}
+	}
+	c.spans = c.spans[:0]
 }
 
-// fill writes set s's share of every pending span, span by span in
-// line order, where the Insert loop would have put it: line i of a
-// span lands in the set's highest invalid way with tick clock0+i+1,
-// and a full set falls back to insert's LRU choice. No line of a span
-// can already be present: spans are disjoint and nothing else was
-// inserted before them.
-func (c *Cache) fill(s int) {
-	c.stamp[s] = uint16(c.tag >> lineBits)
-	c.settled = true
+// fill writes set s's share of every pending span into its block at
+// base, span by span in line order, where the Insert loop would have
+// put it: line i of a span lands in the set's highest invalid way with
+// tick clock0+i+1, and a full set falls back to insert's LRU choice.
+// No line of a span can already be present: spans are disjoint and
+// nothing else was inserted before them.
+func (c *Cache) fill(s, base int) {
 	sets := uint64(c.sets)
-	base := s * c.ways
 	for _, p := range c.spans {
 		w := c.ways - 1
 		for i := (uint64(s) + sets - p.first%sets) % sets; i < p.n; i += sets {
-			for w >= 0 && c.lines[base+w] >= c.tag {
+			for w >= 0 && c.lines[base+w] != 0 {
 				w--
 			}
 			if w < 0 {
@@ -280,7 +297,7 @@ func (c *Cache) fill(s int) {
 				continue
 			}
 			e := base + w
-			c.lines[e] = (p.first + i + 1) | c.tag
+			c.lines[e] = p.first + i + 1
 			c.ready[e] = 0
 			c.dirty[e] = false
 			c.tick[e] = p.clock0 + i + 1

@@ -10,9 +10,9 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moatlab/melody/internal/melody/spec"
 	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/obs/svclog"
-	"github.com/moatlab/melody/internal/melody/spec"
 )
 
 // fakeClock is a deterministic, manually advanced time source for the

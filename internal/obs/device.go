@@ -32,9 +32,11 @@ func NewDeviceObserver() *DeviceObserver {
 	}
 }
 
-// ObserveAccess implements mem.Observer.
+// ObserveAccess implements mem.Observer. The observer owns its
+// histograms and has one goroutine feeding it, so it records without
+// taking their locks; MergeInto and readers run after the cell.
 func (o *DeviceObserver) ObserveAccess(a mem.AccessObservation) {
-	o.Latency.Record(a.Latency())
+	o.Latency.record(a.Latency())
 	if a.Kind == mem.Write {
 		o.writes++
 	} else {
@@ -44,10 +46,10 @@ func (o *DeviceObserver) ObserveAccess(a mem.AccessObservation) {
 		return
 	}
 	o.attributed++
-	o.LinkReq.Record(a.LinkReqNs)
-	o.SchedWait.Record(a.SchedWaitNs)
-	o.Media.Record(a.MediaNs)
-	o.LinkRsp.Record(a.LinkRspNs)
+	o.LinkReq.record(a.LinkReqNs)
+	o.SchedWait.record(a.SchedWaitNs)
+	o.Media.record(a.MediaNs)
+	o.LinkRsp.record(a.LinkRspNs)
 	if a.Hiccup {
 		o.hiccups++
 	}

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -73,8 +74,37 @@ type Exemplar struct {
 // a histogram ever performs.
 func NewHistogram() *Histogram { return &Histogram{} }
 
-// bucketIndex maps a value onto its bucket, clamping to the edges.
+// bucketIndex maps a value onto its bucket, clamping to the edges. It
+// returns exactly what bucketFormula does, without calling math.Log2
+// for values inside the histogram's range: a value's float64 exponent
+// picks a row of mantissa thresholds at which the formula's bucket
+// steps up, and counting the thresholds at or below its mantissa gives
+// the bucket.
 func bucketIndex(v float64) int {
+	bits := math.Float64bits(v)
+	r := int(bits>>52) - 1023 - histMinExp // sign bit, NaN and Inf fall outside
+	if r < 0 || r >= len(bucketRows) {
+		return bucketFormula(v)
+	}
+	row := bucketRows[r].Load()
+	if row == nil {
+		row = buildBucketRow(r)
+	}
+	m := bits & (1<<52 - 1)
+	if m == 0 {
+		return row.exact
+	}
+	k := int(row.start[m>>46])
+	for m >= row.steps[k] {
+		k++
+	}
+	return row.first + k
+}
+
+// bucketFormula is the definition bucketIndex implements: the bucket
+// floor(log2(v)*histSubBuckets), clamped, with everything not positive
+// in bucket 0.
+func bucketFormula(v float64) int {
 	if !(v > 0) { // also catches NaN
 		return 0
 	}
@@ -88,6 +118,62 @@ func bucketIndex(v float64) int {
 	return idx
 }
 
+// bucketRow is bucketFormula over the values 2^e*(1+m/2^52) of one
+// exponent e. An exact power of two (m = 0), which math.Log2 computes
+// by a separate path, lands in exact; above it the formula starts at
+// first and steps up by one at each threshold in steps, which ends
+// with a sentinel above every mantissa. A row can have
+// histSubBuckets+1 thresholds: math.Log2 rounds mantissas just below
+// 2^52 into the octave above. start[m>>46] counts the thresholds at
+// or below the first mantissa sharing m's top six bits; thresholds lie
+// more than 2^46 apart, so at most a couple of steps remain to count.
+type bucketRow struct {
+	exact, first int
+	steps        [histSubBuckets + 2]uint64
+	start        [64]uint8
+}
+
+// bucketRows holds one lazily built row per exponent in [histMinExp,
+// histMaxExp); values outside it clamp to an edge bucket or are not
+// positive, and take bucketFormula. Building every row at start-up
+// would cost a few milliseconds per process.
+var bucketRows [histMaxExp - histMinExp]atomic.Pointer[bucketRow]
+
+// buildBucketRow finds row r's thresholds by bisecting bucketFormula
+// over the mantissa, and publishes the row. Goroutines racing to build
+// the same row compute identical rows.
+func buildBucketRow(r int) *bucketRow {
+	exp := uint64(r+histMinExp+1023) << 52
+	f := func(m uint64) int { return bucketFormula(math.Float64frombits(exp | m)) }
+	const top = 1 << 52
+	row := &bucketRow{exact: f(0), first: f(1)}
+	n := 0
+	for b, last := row.first+1, f(top-1); b <= last; b++ {
+		lo, hi := uint64(1), uint64(top-1) // f(lo) < b <= f(hi)
+		for hi-lo > 1 {
+			if mid := lo + (hi-lo)/2; f(mid) < b {
+				lo = mid
+			} else {
+				hi = mid
+			}
+		}
+		row.steps[n] = hi
+		n++
+	}
+	for i := n; i < len(row.steps); i++ {
+		row.steps[i] = top
+	}
+	for c := range row.start {
+		k := 0
+		for row.steps[k] <= uint64(c)<<46 {
+			k++
+		}
+		row.start[c] = uint8(k)
+	}
+	bucketRows[r].Store(row)
+	return row
+}
+
 // bucketValue returns the geometric midpoint of bucket i, the value
 // percentile queries report for samples landing in it.
 func bucketValue(i int) float64 {
@@ -98,33 +184,18 @@ func bucketValue(i int) float64 {
 // one bad sample must not poison Sum/Mean for the run, and the
 // registry's JSON snapshot could not marshal them anyway.
 func (h *Histogram) Record(v float64) {
-	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
-	}
 	h.mu.Lock()
-	if h.n == 0 || v < h.min {
-		h.min = v
-	}
-	if h.n == 0 || v > h.max {
-		h.max = v
-	}
-	h.n++
-	h.sum += v
-	h.counts[bucketIndex(v)]++
+	h.record(v)
 	h.mu.Unlock()
 }
 
-// RecordExemplar adds one sample like Record and, when traceID is
-// non-empty, remembers it as the exemplar for the bucket it fell in
-// (latest sample wins — the freshest trace is the one an operator can
-// still act on). Distribution state is identical to a plain Record:
-// exemplars only surface in Export, never in Summarize, so manifests
-// are unaffected by who recorded with a trace attached.
-func (h *Histogram) RecordExemplar(v float64, traceID string) {
+// record is Record for a caller that holds h.mu or is h's only user
+// (see DeviceObserver). It returns the sample's bucket, or -1 when the
+// sample was dropped.
+func (h *Histogram) record(v float64) int {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
-		return
+		return -1
 	}
-	h.mu.Lock()
 	if h.n == 0 || v < h.min {
 		h.min = v
 	}
@@ -135,13 +206,24 @@ func (h *Histogram) RecordExemplar(v float64, traceID string) {
 	h.sum += v
 	idx := bucketIndex(v)
 	h.counts[idx]++
-	if traceID != "" {
+	return idx
+}
+
+// RecordExemplar adds one sample like Record and, when traceID is
+// non-empty, remembers it as the exemplar for the bucket it fell in
+// (latest sample wins — the freshest trace is the one an operator can
+// still act on). Distribution state is identical to a plain Record:
+// exemplars only surface in Export, never in Summarize, so manifests
+// are unaffected by who recorded with a trace attached.
+func (h *Histogram) RecordExemplar(v float64, traceID string) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if idx := h.record(v); idx >= 0 && traceID != "" {
 		if h.exemplars == nil {
 			h.exemplars = map[int]Exemplar{}
 		}
 		h.exemplars[idx] = Exemplar{Value: v, TraceID: traceID, Time: time.Now()}
 	}
-	h.mu.Unlock()
 }
 
 // Count returns the number of recorded samples.

@@ -215,6 +215,51 @@ func TestBucketIndexValueRoundTrip(t *testing.T) {
 	}
 }
 
+// TestBucketIndexMatchesFormula requires the table-driven bucketIndex
+// to agree exactly with bucketFormula: on random values across
+// [2^-20, 2^60], within 1000 ulps of every threshold of every row, at
+// every row's edges, and on values outside every row.
+func TestBucketIndexMatchesFormula(t *testing.T) {
+	check := func(v float64) {
+		t.Helper()
+		if got, want := bucketIndex(v), bucketFormula(v); got != want {
+			t.Fatalf("bucketIndex(%v) [bits %#x] = %d, bucketFormula = %d", v, math.Float64bits(v), got, want)
+		}
+	}
+	r := sim.NewRand(3)
+	for i := 0; i < 5_000_000; i++ {
+		if i%2 == 0 {
+			check(math.Exp2(-20 + 80*r.Float64()))
+		} else {
+			exp := uint64(1023-20+r.Uint64n(81)) << 52
+			check(math.Float64frombits(exp | r.Uint64()>>12))
+		}
+	}
+	for i := range bucketRows {
+		row := buildBucketRow(i)
+		exp := uint64(i+histMinExp+1023) << 52
+		for _, m := range []uint64{0, 1, 2, 1<<52 - 2, 1<<52 - 1} {
+			check(math.Float64frombits(exp | m))
+		}
+		for _, th := range row.steps {
+			if th == 1<<52 {
+				break
+			}
+			for d := -1000; d <= 1000; d++ {
+				check(math.Float64frombits(exp + th + uint64(d)))
+			}
+		}
+	}
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), -1, -math.SmallestNonzeroFloat64, -1e300,
+		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64,
+		math.SmallestNonzeroFloat64, 0x1p-1070, 0x1p-1023, math.Nextafter(0x1p-1022, 0),
+		0x1p-1022, 0x1p-17, 0x1p-16, 0x1p47, 0x1p48, math.Nextafter(0x1p48, 0), 0x1p60,
+	} {
+		check(v)
+	}
+}
+
 func TestHistogramNonFiniteIgnored(t *testing.T) {
 	h := NewHistogram()
 	h.Record(10)

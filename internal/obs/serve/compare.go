@@ -302,7 +302,7 @@ func (a *jobAPI) diffOnCompletion(ev jobs.Event) {
 		}
 		// Baseline names are validated to a prom-safe charset at Pin
 		// time, so the label value needs no further escaping.
-		s.crossreg.Counter("regressions|baseline="+b.Name).Add(uint64(len(rep.Regressions)))
+		s.crossreg.Counter("regressions|baseline=" + b.Name).Add(uint64(len(rep.Regressions)))
 		worst := rep.Regressions[0]
 		s.log.Warn("baseline regression detected",
 			svclog.KeyJobID, ev.JobID,

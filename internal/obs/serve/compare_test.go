@@ -229,11 +229,11 @@ func TestCompareBadOperands(t *testing.T) {
 		query string
 		want  int
 	}{
-		{"", http.StatusBadRequest},                                        // missing both
-		{"base=" + fast.ID, http.StatusBadRequest},                         // missing head
-		{"base=bogus&head=" + fast.ID, http.StatusBadRequest},              // unparseable operand
-		{"base=run-999999&head=" + fast.ID, http.StatusNotFound},           // unknown run id
-		{"base=sha256:feed&head=" + fast.ID, http.StatusNotFound},          // unknown spec hash
+		{"", http.StatusBadRequest},                               // missing both
+		{"base=" + fast.ID, http.StatusBadRequest},                // missing head
+		{"base=bogus&head=" + fast.ID, http.StatusBadRequest},     // unparseable operand
+		{"base=run-999999&head=" + fast.ID, http.StatusNotFound},  // unknown run id
+		{"base=sha256:feed&head=" + fast.ID, http.StatusNotFound}, // unknown spec hash
 		{"base=" + fast.ID + "&head=" + fast.ID + "&threshold=-1", http.StatusBadRequest},
 		{"base=" + fast.ID + "&head=" + fast.ID + "&threshold=x", http.StatusBadRequest},
 	}

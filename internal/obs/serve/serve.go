@@ -126,12 +126,12 @@ func New(registry *obs.Registry, progress func() any) *Server {
 	self := obs.NewRegistry()
 	start := time.Now()
 	s := &Server{
-		registry:    registry,
-		progress:    progress,
-		self:        self,
-		start:       start,
-		log:         svclog.Discard(),
-		rt:          newRuntimeSampler(self, start),
+		registry:       registry,
+		progress:       progress,
+		self:           self,
+		start:          start,
+		log:            svclog.Discard(),
+		rt:             newRuntimeSampler(self, start),
 		crossreg:       obs.NewRegistry(),
 		scrapes:        self.Counter("serve/metrics_scrapes"),
 		progReads:      self.Counter("serve/progress_reads"),

@@ -66,12 +66,12 @@ func TestParseTraceparentRejectsMalformed(t *testing.T) {
 	for _, h := range []string{
 		"",
 		"00-abc-def-01",
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",     // missing flags
-		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // bad separator
-		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",  // zero trace id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",  // zero span id
-		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0g",  // non-hex flags
-		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",  // forbidden version
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7",          // missing flags
+		"00_4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",       // bad separator
+		"00-00000000000000000000000000000000-00f067aa0ba902b7-01",       // zero trace id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-0000000000000000-01",       // zero span id
+		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-0g",       // non-hex flags
+		"ff-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01",       // forbidden version
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01x",      // trailing junk
 		"00-4BF92F3577B34DA6A3CE929D0E0E4736-00f067aa0ba902b7-01",       // uppercase hex
 		"00-4bf92f3577b34da6a3ce929d0e0e4736-00f067aa0ba902b7-01-extra", // v00 must be exactly 55 chars

@@ -4,7 +4,10 @@
 // experiments are reproducible from a single seed.
 package sim
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Rand is a deterministic pseudo-random generator based on splitmix64.
 // It is not safe for concurrent use; give each simulated thread its own.
@@ -118,7 +121,32 @@ func NewZipf(r *Rand, n uint64, s float64) *Zipf {
 	return z
 }
 
+// zetas memoizes zeta per (n, s): workloads build a Zipf sampler per
+// run over the same few key spaces, and the exact part of the series
+// costs 10,000 math.Pow calls.
+var (
+	zetasMu sync.Mutex
+	zetas   = map[zetaKey]float64{}
+)
+
+type zetaKey struct {
+	n uint64
+	s float64
+}
+
 func zeta(n uint64, s float64) float64 {
+	zetasMu.Lock()
+	defer zetasMu.Unlock()
+	k := zetaKey{n, s}
+	z, ok := zetas[k]
+	if !ok {
+		z = zetaSum(n, s)
+		zetas[k] = z
+	}
+	return z
+}
+
+func zetaSum(n uint64, s float64) float64 {
 	// Truncated series; n can be large, so cap the exact sum and use the
 	// integral approximation for the remainder.
 	const exact = 10000

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -181,5 +182,43 @@ func TestForkIndependence(t *testing.T) {
 	f2 := r.Fork()
 	if f1.Uint64() == f2.Uint64() {
 		t.Fatal("forked generators produced identical first draw")
+	}
+}
+
+// TestZipfMemoConcurrent builds Zipf samplers over a few key spaces
+// from several goroutines at once and requires each to draw the same
+// sequence as one built before them, and every memoized zeta to equal
+// the series itself.
+func TestZipfMemoConcurrent(t *testing.T) {
+	draws := func(n uint64) [8]uint64 {
+		z := NewZipf(NewRand(n), n, 0.99)
+		var out [8]uint64
+		for i := range out {
+			out[i] = z.Next()
+		}
+		return out
+	}
+	spaces := []uint64{2, 1000, 1 << 20, 50_000_000}
+	want := map[uint64][8]uint64{}
+	for _, n := range spaces {
+		want[n] = draws(n)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, n := range spaces {
+				if got := draws(n); got != want[n] {
+					t.Errorf("n=%d: draws %v, want %v", n, got, want[n])
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	for _, n := range spaces {
+		if z, s := zeta(n, 0.99), zetaSum(n, 0.99); z != s {
+			t.Fatalf("zeta(%d) = %v, series gives %v", n, z, s)
+		}
 	}
 }
