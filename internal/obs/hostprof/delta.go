@@ -7,9 +7,22 @@ package hostprof
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
+
+	"github.com/moatlab/melody/internal/obs/profile"
 )
+
+// The profiler reads its captures with the profile codec's decoder.
+type (
+	ValueType    = profile.ValueType
+	Parsed       = profile.Parsed
+	ParsedSample = profile.ParsedSample
+)
+
+// Parse decodes a pprof profile, gzipped or not.
+func Parse(data []byte) (*Parsed, error) { return profile.Parse(data) }
 
 // DeltaRow is one stack's change between two heap snapshots. Stack is
 // leaf-first (the allocation site leads). Delta holds one value per
@@ -47,14 +60,8 @@ func DiffHeap(from, to *Parsed, maxRows int) (*HeapDelta, error) {
 	if maxRows <= 0 {
 		maxRows = DefaultDeltaRows
 	}
-	if len(from.SampleTypes) != len(to.SampleTypes) {
-		return nil, fmt.Errorf("hostprof: sample types differ: %d vs %d", len(from.SampleTypes), len(to.SampleTypes))
-	}
-	for i := range from.SampleTypes {
-		if from.SampleTypes[i] != to.SampleTypes[i] {
-			return nil, fmt.Errorf("hostprof: sample type %d differs: %v vs %v",
-				i, from.SampleTypes[i], to.SampleTypes[i])
-		}
+	if !slices.Equal(from.SampleTypes, to.SampleTypes) {
+		return nil, fmt.Errorf("hostprof: sample types differ: %v vs %v", from.SampleTypes, to.SampleTypes)
 	}
 	nTypes := len(from.SampleTypes)
 

@@ -2,10 +2,7 @@ package hostprof
 
 import (
 	"bytes"
-	"encoding/binary"
-	"fmt"
 	"runtime/pprof"
-	"slices"
 	"testing"
 
 	"github.com/moatlab/melody/internal/obs/profile"
@@ -48,7 +45,7 @@ func TestParseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(gz=%v): %v", gz, err)
 		}
-		if len(got.SampleTypes) != 2 || got.SampleTypes[1] != (ValueType{"inuse_space", "bytes"}) {
+		if len(got.SampleTypes) != 2 || got.SampleTypes[1] != (ValueType{Type: "inuse_space", Unit: "bytes"}) {
 			t.Fatalf("sample types = %+v", got.SampleTypes)
 		}
 		if got.DefaultSampleType != "inuse_space" {
@@ -104,39 +101,6 @@ func TestParseRuntimeHeapProfile(t *testing.T) {
 	}
 }
 
-// FuzzHostprofParse feeds Parse arbitrary bytes, seeded with encoder
-// output: it must return a profile or an error, never panic. The same
-// bytes, read as little-endian int64 pairs, become the values of a
-// two-column profile that must survive an encode→parse round trip.
-func FuzzHostprofParse(f *testing.F) {
-	f.Add(encodeTestProfile(f, false))
-	f.Add(encodeTestProfile(f, true))
-	f.Add([]byte{})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		Parse(data)
-
-		p := &profile.Profile{SampleTypes: []profile.ValueType{{Type: "a", Unit: "count"}, {Type: "b", Unit: "bytes"}}}
-		for i, b := 0, data; len(b) >= 16; i, b = i+1, b[16:] {
-			p.Samples = append(p.Samples, profile.Sample{
-				Stack:  []string{"main", fmt.Sprint("f", i)},
-				Values: []int64{int64(binary.LittleEndian.Uint64(b)), int64(binary.LittleEndian.Uint64(b[8:]))},
-			})
-		}
-		got, err := Parse(p.Encode())
-		if err != nil {
-			t.Fatalf("Parse(Encode()): %v", err)
-		}
-		if len(got.Samples) != len(p.Samples) {
-			t.Fatalf("round trip kept %d of %d samples", len(got.Samples), len(p.Samples))
-		}
-		for i, s := range got.Samples {
-			if !slices.Equal(s.Values, p.Samples[i].Values) {
-				t.Fatalf("sample %d values = %v, want %v", i, s.Values, p.Samples[i].Values)
-			}
-		}
-	})
-}
-
 func TestParseRejectsGarbage(t *testing.T) {
 	if _, err := Parse([]byte{0x1f, 0x8b, 0xff}); err == nil {
 		t.Fatal("truncated gzip accepted")
@@ -149,7 +113,7 @@ func TestParseRejectsGarbage(t *testing.T) {
 func TestDiffHeap(t *testing.T) {
 	mk := func(growBytes int64) *Parsed {
 		return &Parsed{
-			SampleTypes: []ValueType{{"inuse_objects", "count"}, {"inuse_space", "bytes"}},
+			SampleTypes: []ValueType{{Type: "inuse_objects", Unit: "count"}, {Type: "inuse_space", Unit: "bytes"}},
 			Samples: []ParsedSample{
 				{Stack: []string{"grow", "main"}, Values: []int64{10, 1000 + growBytes}},
 				{Stack: []string{"steady", "main"}, Values: []int64{5, 500}},
@@ -189,7 +153,7 @@ func TestDiffHeap(t *testing.T) {
 	}
 
 	// Mismatched sample types refuse to diff.
-	bad := &Parsed{SampleTypes: []ValueType{{"samples", "count"}}}
+	bad := &Parsed{SampleTypes: []ValueType{{Type: "samples", Unit: "count"}}}
 	if _, err := DiffHeap(bad, to, 0); err == nil {
 		t.Fatal("sample-type mismatch accepted")
 	}

@@ -3,8 +3,11 @@ package hostprof
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"slices"
 	"sync"
 	"time"
+
+	"github.com/moatlab/melody/internal/obs"
 )
 
 // Store bounds. Sized like the tracespan store: deep enough that every
@@ -67,13 +70,9 @@ type StoreStats struct {
 // are left. The anomalies an operator needs tomorrow are exactly the
 // captures something unusual produced.
 type Store struct {
-	mu         sync.Mutex
-	captureCap int
-	byteCap    int64
-	byID       map[string]*Capture
-	order      []string // arrival order, oldest first
-	bytes      int64
-	stats      StoreStats
+	mu       sync.Mutex
+	captures *obs.Retention[string, *Capture]
+	stats    StoreStats
 }
 
 // NewStore returns a store retaining up to captureCap captures and
@@ -85,11 +84,7 @@ func NewStore(captureCap int, byteCap int64) *Store {
 	if byteCap <= 0 {
 		byteCap = DefaultByteCap
 	}
-	return &Store{
-		captureCap: captureCap,
-		byteCap:    byteCap,
-		byID:       map[string]*Capture{},
-	}
+	return &Store{captures: obs.NewRetention[string, *Capture](captureCap, byteCap)}
 }
 
 // CaptureID returns the content address of a profile payload.
@@ -112,7 +107,7 @@ func (s *Store) Add(c Capture) string {
 	c.Size = len(c.Bytes)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if old, ok := s.byID[c.ID]; ok {
+	if old, ok := s.captures.Get(c.ID); ok {
 		// Same bytes re-captured: keep one payload, but let the newer
 		// metadata win where it strengthens retention — a routine
 		// capture re-taken under a watchdog trigger is now evidence.
@@ -122,45 +117,15 @@ func (s *Store) Add(c Capture) string {
 			old.Reason = c.Reason
 			old.Jobs = c.Jobs
 		}
-		s.syncStatsLocked()
 		return c.ID
 	}
-	s.byID[c.ID] = &c
-	s.order = append(s.order, c.ID)
-	s.bytes += int64(c.Size)
+	s.captures.Put(c.ID, &c, int64(c.Size))
 	s.stats.Captures++
-	for (len(s.order) > s.captureCap || s.bytes > s.byteCap) && len(s.order) > 1 {
-		s.evictLocked()
-	}
-	s.syncStatsLocked()
+	// When every older capture is protected, the oldest goes anyway:
+	// bounded memory beats perfect retention.
+	n, _ := s.captures.Evict(protected, true, nil)
+	s.stats.Evicted += uint64(n)
 	return c.ID
-}
-
-// evictLocked removes one capture: the oldest unprotected one. The
-// newest entry — the capture Add is filing right now — is never the
-// victim. When every older capture is protected, the oldest goes
-// anyway: bounded memory beats perfect retention.
-func (s *Store) evictLocked() {
-	victim := -1
-	for i, id := range s.order[:len(s.order)-1] {
-		if !protected(s.byID[id]) {
-			victim = i
-			break
-		}
-	}
-	if victim < 0 {
-		victim = 0
-	}
-	id := s.order[victim]
-	s.bytes -= int64(s.byID[id].Size)
-	s.order = append(s.order[:victim], s.order[victim+1:]...)
-	delete(s.byID, id)
-	s.stats.Evicted++
-}
-
-func (s *Store) syncStatsLocked() {
-	s.stats.Stored = len(s.order)
-	s.stats.StoredLen = s.bytes
 }
 
 // Len returns the number of retained captures.
@@ -170,7 +135,7 @@ func (s *Store) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.order)
+	return s.captures.Len()
 }
 
 // Stats returns the store's counters.
@@ -180,7 +145,9 @@ func (s *Store) Stats() StoreStats {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.stats
+	st := s.stats
+	st.Stored, st.StoredLen = s.captures.Len(), s.captures.Bytes()
+	return st
 }
 
 // Filter selects captures for List. Zero values match everything.
@@ -202,19 +169,7 @@ func matches(c *Capture, f Filter) bool {
 	if f.Reason != "" && c.Reason != f.Reason {
 		return false
 	}
-	if f.JobID != "" {
-		found := false
-		for _, j := range c.Jobs {
-			if j == f.JobID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
+	return f.JobID == "" || slices.Contains(c.Jobs, f.JobID)
 }
 
 // List returns retained captures newest-first, filtered by f. The
@@ -225,9 +180,9 @@ func (s *Store) List(f Filter) []Capture {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]Capture, 0, len(s.order))
-	for i := len(s.order) - 1; i >= 0; i-- {
-		c := s.byID[s.order[i]]
+	out := make([]Capture, 0, s.captures.Len())
+	for i := s.captures.Len() - 1; i >= 0; i-- {
+		c := s.captures.At(i)
 		if !matches(c, f) {
 			continue
 		}
@@ -249,7 +204,7 @@ func (s *Store) Get(id string) (Capture, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c, ok := s.byID[id]
+	c, ok := s.captures.Get(id)
 	if !ok {
 		return Capture{}, false
 	}

@@ -43,6 +43,7 @@
 package ledger
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -151,10 +152,8 @@ type Options struct {
 // use; payload reads and writes happen under one mutex (manifests are
 // small and the call sites are admission paths, not hot loops).
 type Ledger struct {
-	dir        string
-	maxEntries int
-	maxBytes   int64
-	log        *slog.Logger
+	dir string
+	log *slog.Logger
 
 	puts       *obs.Counter
 	hits       *obs.Counter
@@ -168,10 +167,8 @@ type Ledger struct {
 
 	mu        sync.Mutex
 	journal   *os.File
-	bySpec    map[string]*Entry
-	order     []string // spec hashes, oldest first
+	runs      *obs.Retention[string, *Entry] // by spec hash
 	baselines map[string]Baseline
-	bytes     int64
 	stats     Stats
 }
 
@@ -195,8 +192,6 @@ func Open(dir string, opt Options) (*Ledger, error) {
 	}
 	l := &Ledger{
 		dir:        dir,
-		maxEntries: opt.MaxEntries,
-		maxBytes:   opt.MaxBytes,
 		log:        log,
 		puts:       opt.Registry.Counter("ledger/puts"),
 		hits:       opt.Registry.Counter("ledger/hits"),
@@ -207,7 +202,7 @@ func Open(dir string, opt Options) (*Ledger, error) {
 		entriesG:   opt.Registry.Gauge("ledger/entries"),
 		bytesG:     opt.Registry.Gauge("ledger/bytes"),
 		baselinesG: opt.Registry.Gauge("ledger/baselines"),
-		bySpec:     map[string]*Entry{},
+		runs:       obs.NewRetention[string, *Entry](opt.MaxEntries, opt.MaxBytes),
 		baselines:  map[string]Baseline{},
 	}
 	if err := l.replay(); err != nil {
@@ -274,20 +269,20 @@ func (l *Ledger) replay() error {
 		start = end + 1
 	}
 	// Validate survivors against the object directory.
-	for _, hash := range append([]string(nil), l.order...) {
-		e := l.bySpec[hash]
+	for i := l.runs.Len() - 1; i >= 0; i-- {
+		e := l.runs.At(i)
 		if _, err := os.Stat(l.objectPath(e.Digest)); err != nil {
-			l.dropLocked(hash)
+			l.runs.Delete(e.SpecHash)
 			l.stats.IntegrityFailures++
 			l.integrity.Inc()
 			l.log.Warn("ledger entry dropped: object file missing",
-				svclog.KeySpecHash, hash, "object", e.Digest)
+				svclog.KeySpecHash, e.SpecHash, "object", e.Digest)
 		}
 	}
 	// A baseline whose entry vanished is unpinned rather than left
 	// dangling.
 	for name, b := range l.baselines {
-		if _, ok := l.bySpec[b.SpecHash]; !ok {
+		if _, ok := l.runs.Get(b.SpecHash); !ok {
 			delete(l.baselines, name)
 			l.log.Warn("ledger baseline unpinned: entry missing", "baseline", name,
 				svclog.KeySpecHash, b.SpecHash)
@@ -303,13 +298,10 @@ func (l *Ledger) applyLocked(rec record) {
 		if rec.Entry == nil {
 			return
 		}
-		l.dropLocked(rec.Entry.SpecHash)
 		e := *rec.Entry
-		l.bySpec[e.SpecHash] = &e
-		l.order = append(l.order, e.SpecHash)
-		l.bytes += e.Size
+		l.runs.Put(e.SpecHash, &e, e.Size)
 	case "evict":
-		l.dropLocked(rec.SpecHash)
+		l.runs.Delete(rec.SpecHash)
 	case "pin":
 		l.baselines[rec.Name] = Baseline{
 			Name: rec.Name, SpecHash: rec.SpecHash, Address: rec.Address, PinnedAt: rec.Time,
@@ -319,35 +311,14 @@ func (l *Ledger) applyLocked(rec record) {
 	}
 }
 
-// dropLocked removes hash from the index (not from disk).
-func (l *Ledger) dropLocked(hash string) {
-	e, ok := l.bySpec[hash]
-	if !ok {
-		return
-	}
-	delete(l.bySpec, hash)
-	l.bytes -= e.Size
-	for i, h := range l.order {
-		if h == hash {
-			l.order = append(l.order[:i], l.order[i+1:]...)
-			break
-		}
-	}
-}
-
 // compact rewrites the journal as a minimal snapshot of live state,
 // tmp+rename so a crash leaves either journal intact.
 func (l *Ledger) compact() error {
-	tmp := l.journalPath() + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	enc := json.NewEncoder(f)
-	for _, hash := range l.order {
-		e := l.bySpec[hash]
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := 0; i < l.runs.Len(); i++ {
+		e := l.runs.At(i)
 		if err := enc.Encode(record{Op: "put", Time: e.StoredAt, Entry: e}); err != nil {
-			f.Close()
 			return fmt.Errorf("ledger: compact: %w", err)
 		}
 	}
@@ -355,21 +326,38 @@ func (l *Ledger) compact() error {
 		b := l.baselines[name]
 		if err := enc.Encode(record{Op: "pin", Time: b.PinnedAt, Name: b.Name,
 			SpecHash: b.SpecHash, Address: b.Address}); err != nil {
-			f.Close()
 			return fmt.Errorf("ledger: compact: %w", err)
 		}
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("ledger: compact: %w", err)
-	}
-	if err := os.Rename(tmp, l.journalPath()); err != nil {
+	if err := writeAtomic(l.journalPath(), buf.Bytes()); err != nil {
 		return fmt.Errorf("ledger: compact: %w", err)
 	}
 	return nil
+}
+
+// writeAtomic replaces path crash-safely: the bytes go to a temp file
+// in the same directory, are fsynced, and only then renamed over path,
+// so a crash leaves the old file or the new one, never a torn one.
+func writeAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.Create(tmp)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 func sortedNames(m map[string]Baseline) []string {
@@ -405,35 +393,14 @@ func (l *Ledger) Put(specHash, address string, manifest, specJSON []byte, jobID 
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if old, ok := l.bySpec[specHash]; ok && old.Digest == digest {
+	old, ok := l.runs.Get(specHash)
+	if ok && old.Digest == digest {
 		return nil
 	}
-	// tmp+rename in the same directory so the rename is atomic.
-	tmp := l.objectPath(digest) + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return fmt.Errorf("ledger: put: %w", err)
-	}
-	if _, err := f.Write(manifest); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: put: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: put: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("ledger: put: %w", err)
-	}
-	if err := os.Rename(tmp, l.objectPath(digest)); err != nil {
-		os.Remove(tmp)
+	if err := writeAtomic(l.objectPath(digest), manifest); err != nil {
 		return fmt.Errorf("ledger: put: %w", err)
 	}
 
-	old := l.bySpec[specHash]
 	e := Entry{
 		SpecHash: specHash,
 		Address:  address,
@@ -447,60 +414,42 @@ func (l *Ledger) Put(specHash, address string, manifest, specJSON []byte, jobID 
 		os.Remove(l.objectPath(digest))
 		return fmt.Errorf("ledger: put: journal: %w", err)
 	}
-	l.dropLocked(specHash)
-	l.bySpec[specHash] = &e
-	l.order = append(l.order, specHash)
-	l.bytes += e.Size
-	if old != nil {
+	l.runs.Put(specHash, &e, e.Size)
+	if ok {
 		os.Remove(l.objectPath(old.Digest))
 	}
 	l.stats.Puts++
 	l.puts.Inc()
-	l.evictOverCapsLocked()
+	// If every older entry is a pinned baseline, the cap is exceeded
+	// rather than a baseline lost — that state is logged, not hidden.
+	if _, err := l.runs.Evict(l.pinnedLocked, false, l.evictLocked); errors.Is(err, obs.ErrAllProtected) {
+		l.log.Warn("ledger over capacity but every older entry is a pinned baseline; not evicting",
+			"entries", l.runs.Len(), "bytes", l.runs.Bytes())
+	} else if err != nil {
+		l.log.Error("ledger evict journal append failed", "err", err.Error())
+	}
 	l.syncGauges()
 	return nil
 }
 
-// evictOverCapsLocked enforces the caps: oldest first, skipping pinned
-// baselines and the newest entry (the one Put just filed). If only
-// pinned entries remain, the cap is exceeded rather than a baseline
-// lost — that state is logged, not hidden.
-func (l *Ledger) evictOverCapsLocked() {
-	over := func() bool {
-		return (l.maxEntries > 0 && len(l.order) > l.maxEntries) ||
-			(l.maxBytes > 0 && l.bytes > l.maxBytes)
+// evictLocked journals one capacity eviction and deletes its object;
+// the caller drops the entry from the index.
+func (l *Ledger) evictLocked(e *Entry) error {
+	if err := l.appendLocked(record{Op: "evict", Time: time.Now().UTC(),
+		SpecHash: e.SpecHash, Reason: "capacity"}); err != nil {
+		return err
 	}
-	for over() && len(l.order) > 1 {
-		victim := ""
-		for _, hash := range l.order[:len(l.order)-1] {
-			if !l.pinnedLocked(hash) {
-				victim = hash
-				break
-			}
-		}
-		if victim == "" {
-			l.log.Warn("ledger over capacity but every older entry is a pinned baseline; not evicting",
-				"entries", len(l.order), "bytes", l.bytes)
-			return
-		}
-		e := l.bySpec[victim]
-		if err := l.appendLocked(record{Op: "evict", Time: time.Now().UTC(),
-			SpecHash: victim, Reason: "capacity"}); err != nil {
-			l.log.Error("ledger evict journal append failed", "err", err.Error())
-			return
-		}
-		l.dropLocked(victim)
-		os.Remove(l.objectPath(e.Digest))
-		l.stats.Evictions++
-		l.evictions.Inc()
-		l.log.Info("ledger entry evicted", svclog.KeySpecHash, victim,
-			"size_bytes", e.Size, "stored_at", e.StoredAt)
-	}
+	os.Remove(l.objectPath(e.Digest))
+	l.stats.Evictions++
+	l.evictions.Inc()
+	l.log.Info("ledger entry evicted", svclog.KeySpecHash, e.SpecHash,
+		"size_bytes", e.Size, "stored_at", e.StoredAt)
+	return nil
 }
 
-func (l *Ledger) pinnedLocked(hash string) bool {
+func (l *Ledger) pinnedLocked(e *Entry) bool {
 	for _, b := range l.baselines {
-		if b.SpecHash == hash {
+		if b.SpecHash == e.SpecHash {
 			return true
 		}
 	}
@@ -515,7 +464,7 @@ func (l *Ledger) pinnedLocked(hash string) bool {
 func (l *Ledger) Get(specHash string) ([]byte, string, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.bySpec[specHash]
+	e, ok := l.runs.Get(specHash)
 	if !ok {
 		l.stats.Misses++
 		l.misses.Inc()
@@ -551,7 +500,7 @@ func (l *Ledger) quarantineLocked(e *Entry, cause error) {
 		SpecHash: e.SpecHash, Reason: "quarantine"}); err != nil {
 		l.log.Error("ledger quarantine journal append failed", "err", err.Error())
 	}
-	l.dropLocked(e.SpecHash)
+	l.runs.Delete(e.SpecHash)
 	l.syncGauges()
 	l.log.Error("ledger integrity failure: object quarantined",
 		svclog.KeySpecHash, e.SpecHash, "object", e.Digest, "err", cause.Error())
@@ -562,38 +511,18 @@ func (l *Ledger) quarantineLocked(e *Entry, cause error) {
 func (l *Ledger) Stat(specHash string) (string, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.bySpec[specHash]
+	e, ok := l.runs.Get(specHash)
 	if !ok {
 		return "", false
 	}
 	return e.Address, true
 }
 
-// GetByAddress returns the manifest whose content address is addr
-// (same integrity contract as Get).
-func (l *Ledger) GetByAddress(addr string) ([]byte, string, bool) {
-	l.mu.Lock()
-	var hash string
-	for h, e := range l.bySpec {
-		if e.Address == addr {
-			hash = h
-			break
-		}
-	}
-	l.mu.Unlock()
-	if hash == "" {
-		l.misses.Inc()
-		return nil, "", false
-	}
-	data, _, ok := l.Get(hash)
-	return data, hash, ok
-}
-
 // Entry returns the index record for specHash.
 func (l *Ledger) Entry(specHash string) (Entry, bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.bySpec[specHash]
+	e, ok := l.runs.Get(specHash)
 	if !ok {
 		return Entry{}, false
 	}
@@ -604,9 +533,9 @@ func (l *Ledger) Entry(specHash string) (Entry, bool) {
 func (l *Ledger) Entries() []Entry {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]Entry, 0, len(l.order))
-	for _, hash := range l.order {
-		out = append(out, *l.bySpec[hash])
+	out := make([]Entry, 0, l.runs.Len())
+	for i := 0; i < l.runs.Len(); i++ {
+		out = append(out, *l.runs.At(i))
 	}
 	return out
 }
@@ -615,7 +544,7 @@ func (l *Ledger) Entries() []Entry {
 func (l *Ledger) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.order)
+	return l.runs.Len()
 }
 
 // Pin names specHash as baseline name (replacing any previous pin of
@@ -627,7 +556,7 @@ func (l *Ledger) Pin(name, specHash string) (Baseline, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	e, ok := l.bySpec[specHash]
+	e, ok := l.runs.Get(specHash)
 	if !ok {
 		return Baseline{}, fmt.Errorf("%w: %s", ErrUnknownRef, specHash)
 	}
@@ -684,15 +613,15 @@ func (l *Ledger) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	s := l.stats
-	s.Entries = len(l.order)
-	s.Bytes = l.bytes
+	s.Entries = l.runs.Len()
+	s.Bytes = l.runs.Bytes()
 	s.Baselines = len(l.baselines)
 	return s
 }
 
 func (l *Ledger) syncGauges() {
-	l.entriesG.Set(float64(len(l.order)))
-	l.bytesG.Set(float64(l.bytes))
+	l.entriesG.Set(float64(l.runs.Len()))
+	l.bytesG.Set(float64(l.runs.Bytes()))
 	l.baselinesG.Set(float64(len(l.baselines)))
 }
 

@@ -3,6 +3,7 @@ package profile
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -64,7 +65,13 @@ func (b *Builder) Add(stack []string, labels []Label, vals ...float64) {
 	if len(vals) != len(b.types) {
 		panic(fmt.Sprintf("profile: Add got %d values for %d sample types", len(vals), len(b.types)))
 	}
-	k := key(stack, labels)
+	b.fold(key(stack, labels), stack, labels, vals)
+	b.samples++
+}
+
+// fold adds vals into the stack aggregated under k, creating it with
+// copies of stack and labels on first sight.
+func (b *Builder) fold(k string, stack []string, labels []Label, vals []float64) {
 	a, ok := b.byKey[k]
 	if !ok {
 		a = &accum{
@@ -77,7 +84,6 @@ func (b *Builder) Add(stack []string, labels []Label, vals ...float64) {
 	for i, v := range vals {
 		a.vals[i] += v
 	}
-	b.samples++
 }
 
 // Merge folds o's accumulated stacks into b. The two builders must
@@ -86,27 +92,11 @@ func (b *Builder) Merge(o *Builder) error {
 	if o == nil || o == b {
 		return nil
 	}
-	if len(o.types) != len(b.types) {
-		return fmt.Errorf("profile: merging %d sample types into %d", len(o.types), len(b.types))
-	}
-	for i, t := range o.types {
-		if b.types[i] != t {
-			return fmt.Errorf("profile: sample type %d mismatch: %v vs %v", i, t, b.types[i])
-		}
+	if !slices.Equal(o.types, b.types) {
+		return fmt.Errorf("profile: merging sample types %v into %v", o.types, b.types)
 	}
 	for k, a := range o.byKey {
-		dst, ok := b.byKey[k]
-		if !ok {
-			dst = &accum{
-				stack:  append([]string(nil), a.stack...),
-				labels: append([]Label(nil), a.labels...),
-				vals:   make([]float64, len(a.vals)),
-			}
-			b.byKey[k] = dst
-		}
-		for i, v := range a.vals {
-			dst.vals[i] += v
-		}
+		b.fold(k, a.stack, a.labels, a.vals)
 	}
 	b.samples += o.samples
 	return nil

@@ -27,8 +27,8 @@ import (
 // ValueType names one sample dimension (e.g. {"sim_cycles",
 // "cycles"}); the strings land in the profile's string table.
 type ValueType struct {
-	Type string
-	Unit string
+	Type string `json:"type"`
+	Unit string `json:"unit"`
 }
 
 // Label is one string label attached to a sample (pprof tag), e.g.
@@ -65,7 +65,8 @@ type Profile struct {
 	Samples       []Sample
 }
 
-// Protobuf field numbers of profile.proto (the pprof wire format).
+// Protobuf field numbers of profile.proto (the pprof wire format),
+// shared by the encoder and Parse.
 const (
 	profSampleType    = 1
 	profSample        = 2
@@ -76,23 +77,22 @@ const (
 	profComment       = 13
 	profDefaultType   = 14
 
-	vtType = 1
-	vtUnit = 2
-
 	sampleLocationID = 1
 	sampleValue      = 2
 	sampleLabel      = 3
 
-	labelKey = 1
-	labelStr = 2
+	locID      = 1
+	locAddress = 3
+	locLine    = 4
 
-	locID   = 1
-	locLine = 4
-
-	lineFunctionID = 1
-
-	funcID   = 1
-	funcName = 2
+	// ValueType, Label, Line and Function are all two-varint
+	// submessages, encoded and decoded as a pair.
+	vtType, vtUnit     = pairFirst, pairSecond
+	labelKey, labelStr = pairFirst, pairSecond
+	lineFunctionID     = pairFirst
+	funcID, funcName   = pairFirst, pairSecond
+	pairFirst          = 1
+	pairSecond         = 2
 )
 
 // buffer is a minimal protobuf writer: varints, tagged scalar fields,
@@ -165,12 +165,31 @@ func (st *stringTable) index(s string) int64 {
 	return i
 }
 
-// encodeValueType renders one ValueType submessage.
-func encodeValueType(st *stringTable, vt ValueType) []byte {
+// pair is one two-varint submessage: a ValueType {type, unit}, a
+// Label {key, str}, a Line {function_id, line} or a Function {id,
+// name}.
+type pair [2]uint64
+
+func (p pair) encode() []byte {
 	var e buffer
-	e.int64Field(vtType, st.index(vt.Type))
-	e.int64Field(vtUnit, st.index(vt.Unit))
+	e.uint64Field(pairFirst, p[0])
+	e.uint64Field(pairSecond, p[1])
 	return e.b
+}
+
+func parsePair(data []byte) (pair, error) {
+	var p pair
+	r := &reader{b: data}
+	for !r.done() {
+		num, _, v, _, err := r.field()
+		if err != nil {
+			return p, err
+		}
+		if num == pairFirst || num == pairSecond {
+			p[num-pairFirst] = v
+		}
+	}
+	return p, nil
 }
 
 // Encode renders the profile as uncompressed profile.proto bytes.
@@ -182,7 +201,7 @@ func (p *Profile) Encode() []byte {
 	var e buffer
 
 	for _, vt := range p.SampleTypes {
-		e.bytesField(profSampleType, encodeValueType(st, vt))
+		e.bytesField(profSampleType, pair{uint64(st.index(vt.Type)), uint64(st.index(vt.Unit))}.encode())
 	}
 
 	// One function and one co-numbered location per unique frame name.
@@ -212,27 +231,19 @@ func (p *Profile) Encode() []byte {
 		}
 		se.packedField(sampleValue, vals)
 		for _, l := range s.Labels {
-			var le buffer
-			le.int64Field(labelKey, st.index(l.Key))
-			le.int64Field(labelStr, st.index(l.Str))
-			se.bytesField(sampleLabel, le.b)
+			se.bytesField(sampleLabel, pair{uint64(st.index(l.Key)), uint64(st.index(l.Str))}.encode())
 		}
 		e.bytesField(profSample, se.b)
 	}
 
 	for i, frame := range funcOrder {
 		id := uint64(i + 1)
-		var le buffer
-		le.uint64Field(lineFunctionID, id)
 		var loc buffer
 		loc.uint64Field(locID, id)
-		loc.bytesField(locLine, le.b)
+		loc.bytesField(locLine, pair{id, 0}.encode())
 		e.bytesField(profLocation, loc.b)
 
-		var fn buffer
-		fn.uint64Field(funcID, id)
-		fn.int64Field(funcName, st.index(frame))
-		e.bytesField(profFunction, fn.b)
+		e.bytesField(profFunction, pair{id, uint64(st.index(frame))}.encode())
 	}
 
 	e.int64Field(profDurationNanos, p.DurationNanos)

@@ -194,18 +194,12 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request) {
 //	?limit=20       at most this many jobs, newest submissions last
 //	                (the tail of the submission-ordered list)
 func (a *jobAPI) list(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	limit := -1
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit: want a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		limit = n
+	limit, ok := limitParam(w, r)
+	if !ok {
+		return
 	}
 	var state jobs.State
-	switch v := jobs.State(q.Get("state")); v {
+	switch v := jobs.State(r.URL.Query().Get("state")); v {
 	case "", jobs.StateQueued, jobs.StateRunning, jobs.StateDone, jobs.StateFailed, jobs.StateCanceled:
 		state = v
 	default:

@@ -53,14 +53,11 @@ func (s *Server) profileList(w http.ResponseWriter, r *http.Request) {
 		Reason: q.Get("reason"),
 		JobID:  q.Get("job_id"),
 	}
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit: want a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		f.Limit = n
+	limit, ok := limitParam(w, r)
+	if !ok {
+		return
 	}
+	f.Limit = max(limit, 0)
 	store := s.prof.Store()
 	writeJSON(w, map[string]any{
 		"profiles":   store.List(f),

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -175,6 +176,15 @@ func TestProfileHeapDelta(t *testing.T) {
 	}
 	if out.Delta.SortedBy != "inuse_space" {
 		t.Fatalf("delta sorted by %q", out.Delta.SortedBy)
+	}
+	// Decoding into the same Go type would hide a key rename; the raw
+	// body must name each sample type's fields "type" and "unit".
+	var compact bytes.Buffer
+	if err := json.Compact(&compact, []byte(body)); err != nil {
+		t.Fatal(err)
+	}
+	if !regexp.MustCompile(`"sample_types":\[\{"type":"\w+","unit":"\w+"\}`).Match(compact.Bytes()) {
+		t.Fatalf("heapdelta body lacks sample_types type/unit keys: %.300s", compact.String())
 	}
 	if out.From.ID != from || out.To.ID != to {
 		t.Fatal("delta payload misidentifies its endpoints")

@@ -57,6 +57,7 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
+	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -371,6 +372,21 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 		}
 		fl.Flush()
 	}
+}
+
+// limitParam reads the ?limit= filter shared by the list endpoints: -1
+// when absent. A bad value answers 400 and returns ok false.
+func limitParam(w http.ResponseWriter, r *http.Request) (limit int, ok bool) {
+	v := r.URL.Query().Get("limit")
+	if v == "" {
+		return -1, true
+	}
+	n, err := strconv.Atoi(v)
+	if err != nil || n < 0 {
+		http.Error(w, "bad limit: want a non-negative integer", http.StatusBadRequest)
+		return 0, false
+	}
+	return n, true
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

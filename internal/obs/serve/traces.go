@@ -43,14 +43,11 @@ func (s *Server) traceList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.SpecHash = q.Get("spec_hash")
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit: want a non-negative integer", http.StatusBadRequest)
-			return
-		}
-		f.Limit = n
+	limit, ok := limitParam(w, r)
+	if !ok {
+		return
 	}
+	f.Limit = max(limit, 0)
 	store := s.tracer.Store()
 	writeJSON(w, map[string]any{
 		"traces": store.List(f),

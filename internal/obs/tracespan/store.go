@@ -4,6 +4,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/moatlab/melody/internal/obs"
 )
 
 // Store bounds. DefaultTraceCap is sized like the jobs queue: deep
@@ -43,8 +45,7 @@ type Store struct {
 	mu       sync.Mutex
 	traceCap int
 	spanCap  int
-	traces   map[string]*traceEntry
-	order    []string // arrival order, oldest first
+	traces   *obs.Retention[string, *traceEntry]
 	stats    StoreStats
 }
 
@@ -73,7 +74,7 @@ func NewStore(traceCap, spanCap int) *Store {
 	return &Store{
 		traceCap: traceCap,
 		spanCap:  spanCap,
-		traces:   map[string]*traceEntry{},
+		traces:   obs.NewRetention[string, *traceEntry](traceCap, 0),
 	}
 }
 
@@ -85,11 +86,10 @@ func (s *Store) Add(sd SpanData) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.traces[sd.TraceID]
+	e, ok := s.traces.Get(sd.TraceID)
 	if !ok {
 		e = &traceEntry{id: sd.TraceID, start: sd.Start, end: sd.End}
-		s.traces[sd.TraceID] = e
-		s.order = append(s.order, sd.TraceID)
+		s.traces.Put(sd.TraceID, e, 0)
 		s.stats.Traces++
 	}
 	// Apply the span's bounds and status before any retention decision:
@@ -106,7 +106,7 @@ func (s *Store) Add(sd SpanData) {
 	if sd.Status == StatusError {
 		e.errored = true
 	}
-	if !ok && len(s.order) > s.traceCap {
+	if !ok && s.traces.Over() {
 		s.evictLocked()
 	}
 	if len(e.spans) >= s.spanCap {
@@ -119,38 +119,24 @@ func (s *Store) Add(sd SpanData) {
 }
 
 // evictLocked removes one trace: the oldest that is neither errored
-// nor in the protected slowest set. The newest entry — the trace Add
-// is filing right now — is never the victim: evicting it would orphan
-// the trace mid-add, silently losing every new trace while the stats
-// still count them. When every older retained trace is protected, the
-// oldest goes anyway — bounded memory beats perfect retention.
+// nor in the protected slowest set, never the trace Add is filing
+// right now. When every older retained trace is protected, the oldest
+// goes anyway — bounded memory beats perfect retention.
 func (s *Store) evictLocked() {
 	slowCount := (s.traceCap + slowFrac - 1) / slowFrac
-	durs := make([]time.Duration, 0, len(s.order))
-	for _, id := range s.order {
-		durs = append(durs, s.traces[id].duration())
+	durs := make([]time.Duration, s.traces.Len())
+	for i := range durs {
+		durs[i] = s.traces.At(i).duration()
 	}
 	sort.Slice(durs, func(i, j int) bool { return durs[i] > durs[j] })
 	var slowFloor time.Duration
 	if slowCount > 0 && slowCount <= len(durs) {
 		slowFloor = durs[slowCount-1]
 	}
-	victim := -1
-	for i, id := range s.order[:len(s.order)-1] {
-		e := s.traces[id]
-		if e.errored || (slowFloor > 0 && e.duration() >= slowFloor) {
-			continue
-		}
-		victim = i
-		break
-	}
-	if victim < 0 {
-		victim = 0
-	}
-	id := s.order[victim]
-	s.order = append(s.order[:victim], s.order[victim+1:]...)
-	delete(s.traces, id)
-	s.stats.Evicted++
+	n, _ := s.traces.Evict(func(e *traceEntry) bool {
+		return e.errored || (slowFloor > 0 && e.duration() >= slowFloor)
+	}, true, nil)
+	s.stats.Evicted += uint64(n)
 }
 
 // Len returns the number of retained traces.
@@ -160,7 +146,7 @@ func (s *Store) Len() int {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.order)
+	return s.traces.Len()
 }
 
 // Stats returns the store's lifetime counters.
@@ -235,9 +221,9 @@ func (s *Store) List(f Filter) []TraceSummary {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	out := make([]TraceSummary, 0, len(s.order))
-	for i := len(s.order) - 1; i >= 0; i-- {
-		sum := s.summaryLocked(s.traces[s.order[i]])
+	out := make([]TraceSummary, 0, s.traces.Len())
+	for i := s.traces.Len() - 1; i >= 0; i-- {
+		sum := s.summaryLocked(s.traces.At(i))
 		if f.MinDuration > 0 && sum.DurationS < f.MinDuration.Seconds() {
 			continue
 		}
@@ -263,7 +249,7 @@ func (s *Store) Get(traceID string) (TraceSummary, []SpanData, bool) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e, ok := s.traces[traceID]
+	e, ok := s.traces.Get(traceID)
 	if !ok {
 		return TraceSummary{}, nil, false
 	}
