@@ -8,7 +8,7 @@
 package graph
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"github.com/moatlab/melody/internal/core"
@@ -27,6 +27,9 @@ type Graph struct {
 	offsetsObj vm.Object
 	edgesObj   vm.Object
 }
+
+// edge is one generated (source, target) pair before CSR assembly.
+type edge struct{ u, v uint32 }
 
 // M returns the edge count.
 func (g *Graph) M() int { return len(g.Edges) }
@@ -49,12 +52,18 @@ const DefaultDegree = 12
 // "urand", "road") at the given scale.
 func Build(name string, n uint32, degree int, seed uint64) *Graph {
 	r := sim.NewRand(seed)
-	targets := make([][]uint32, n)
 	m := int(n) * degree
 
+	// Every generator emits at most m edges but road, which emits at
+	// most 4 per node; sizing the list up front avoids regrowing it.
+	maxEdges := m
+	if name == "road" {
+		maxEdges = 4 * int(n)
+	}
+	edges := make([]edge, 0, maxEdges)
 	addEdge := func(u, v uint32) {
 		if u != v {
-			targets[u] = append(targets[u], v)
+			edges = append(edges, edge{u, v})
 		}
 	}
 
@@ -139,20 +148,27 @@ func Build(name string, n uint32, degree int, seed uint64) *Graph {
 		panic("graph: unknown generator " + name)
 	}
 
+	// CSR assembly as in the GAPBS builder: count out-degrees, prefix-sum
+	// them so Offsets[u] is the end of u's range, then place the edges
+	// back to front, moving each Offsets[u] down to the start of u's
+	// range. Each range then holds u's targets in emission order.
 	g := &Graph{Name: name, N: n}
 	g.Offsets = make([]uint32, n+1)
-	total := 0
-	for u := uint32(0); u < n; u++ {
-		sort.Slice(targets[u], func(i, j int) bool { return targets[u][i] < targets[u][j] })
-		total += len(targets[u])
+	for _, e := range edges {
+		g.Offsets[e.u]++
 	}
-	g.Edges = make([]uint32, 0, total)
-	for u := uint32(0); u < n; u++ {
-		g.Offsets[u] = uint32(len(g.Edges))
-		g.Edges = append(g.Edges, targets[u]...)
-		targets[u] = nil
+	for u := uint32(1); u <= n; u++ {
+		g.Offsets[u] += g.Offsets[u-1]
 	}
-	g.Offsets[n] = uint32(len(g.Edges))
+	g.Edges = make([]uint32, len(edges))
+	for i := len(edges) - 1; i >= 0; i-- {
+		e := edges[i]
+		g.Offsets[e.u]--
+		g.Edges[g.Offsets[e.u]] = e.v
+	}
+	for u := uint32(0); u < n; u++ {
+		slices.Sort(g.Edges[g.Offsets[u]:g.Offsets[u+1]])
+	}
 
 	g.arena = vm.New(2 << 30)
 	g.offsetsObj = g.arena.Alloc("offsets", uint64(n+1)*4)
@@ -160,24 +176,27 @@ func Build(name string, n uint32, degree int, seed uint64) *Graph {
 	return g
 }
 
-// Graphs are expensive to build, so instances are cached per
-// (name, scale) for the life of the process. Addresses are
-// deterministic, so sharing across runs is safe.
+// Graphs are expensive to build, so instances are cached per name for
+// the life of the process. Addresses are deterministic, so sharing
+// across runs is safe. Each name is built once, outside cacheMu, so
+// distinct graphs build concurrently.
 var (
 	cacheMu sync.Mutex
-	cache   = map[string]*Graph{}
+	cache   = map[string]func() *Graph{}
 )
 
 // Get returns the cached default-scale instance of the named graph.
 func Get(name string) *Graph {
 	cacheMu.Lock()
-	defer cacheMu.Unlock()
-	if g, ok := cache[name]; ok {
-		return g
+	get, ok := cache[name]
+	if !ok {
+		get = sync.OnceValue(func() *Graph {
+			return Build(name, DefaultNodes, DefaultDegree, 0x6a09e667f3bcc908)
+		})
+		cache[name] = get
 	}
-	g := Build(name, DefaultNodes, DefaultDegree, 0x6a09e667f3bcc908)
-	cache[name] = g
-	return g
+	cacheMu.Unlock()
+	return get()
 }
 
 // loadOffsets reads offsets[u] and offsets[u+1] through the machine.

@@ -1,6 +1,11 @@
 package graph
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"fmt"
+	"sync"
 	"testing"
 
 	"github.com/moatlab/melody/internal/core"
@@ -48,6 +53,85 @@ func TestBuildShapes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// digest is the sha256 of g's Offsets then Edges as little-endian
+// uint32s.
+func digest(g *Graph) string {
+	h := sha256.New()
+	for _, xs := range [][]uint32{g.Offsets, g.Edges} {
+		b := make([]byte, 4*len(xs))
+		for i, x := range xs {
+			binary.LittleEndian.PutUint32(b[4*i:], x)
+		}
+		h.Write(b)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestGetConcurrent: concurrent first calls build a graph once and
+// all return that instance.
+func TestGetConcurrent(t *testing.T) {
+	const callers = 4
+	got := make([]*Graph, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = Get("road")
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if g == nil || g != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p", i, g, got[0])
+		}
+	}
+}
+
+// TestBuildByteIdentity pins every generator's CSR arrays. The digests
+// come from the per-vertex-slice builder that CSR assembly replaced;
+// the generators' RNG streams and the sorted targets must not change.
+// Only road is checked at DefaultNodes: the other graphs take seconds
+// each at that scale.
+func TestBuildByteIdentity(t *testing.T) {
+	want := map[string]string{
+		"twitter": "ff7b9d2bd1ebd3d048e731043268539270f553a567a3733b7037c74e90db9b5a",
+		"web":     "8493bf7c28d488362ca4bb4419f5a58a1f3dc0c051ba9861b8934052f3037cf6",
+		"road":    "26c0e2e2835d293cfc285cda1363b1aff65ff40585cf500f7ecc6d6a5032a68f",
+		"kron":    "674b7d8227b8c23dca6ec4db5a5f56a5ffcdbe0a7be78aa0918676b6ba3590a9",
+		"urand":   "7e2d1502a919396c0e9ae6a295fa9a90dab2a4bd6f3be21ddab9b36de71eca36",
+	}
+	for _, name := range GraphNames {
+		if got := digest(Build(name, testN, 8, 1)); got != want[name] {
+			t.Errorf("%s at %d nodes: digest %s, want %s", name, testN, got, want[name])
+		}
+	}
+	const road = "f66590b98a32894277d2409e1f36ea25b69d63ddbb5b09dc0e7c9907184530ad"
+	if got := digest(Get("road")); got != road {
+		t.Errorf("road at DefaultNodes: digest %s, want %s", got, road)
+	}
+}
+
+var sink *Graph
+
+// BenchmarkGraphBuild times each generator plus CSR assembly at 16×
+// the unit-test scale, and at DefaultNodes road, the one graph
+// perfbench's sweep uses.
+func BenchmarkGraphBuild(b *testing.B) {
+	run := func(name string, n uint32) {
+		b.Run(fmt.Sprintf("%s/n=%d", name, n), func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				sink = Build(name, n, DefaultDegree, 1)
+			}
+		})
+	}
+	for _, name := range GraphNames {
+		run(name, testN*16)
+	}
+	run("road", DefaultNodes)
 }
 
 func TestDegreeSkew(t *testing.T) {

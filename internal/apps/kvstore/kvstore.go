@@ -76,21 +76,22 @@ func NewStore(cfg Config) *Store {
 
 // Populated images are cached per Config for the life of the process,
 // like graph instances: stores never modify an image's pages, only
-// their copies of them.
+// their copies of them. Each Config is populated once, outside
+// imagesMu, so distinct images populate concurrently.
 var (
 	imagesMu sync.Mutex
-	images   = map[Config]*Store{}
+	images   = map[Config]func() *Store{}
 )
 
 func image(cfg Config) *Store {
 	imagesMu.Lock()
-	defer imagesMu.Unlock()
-	if img, ok := images[cfg]; ok {
-		return img
+	get, ok := images[cfg]
+	if !ok {
+		get = sync.OnceValue(func() *Store { return populate(cfg) })
+		images[cfg] = get
 	}
-	img := populate(cfg)
-	images[cfg] = img
-	return img
+	imagesMu.Unlock()
+	return get()
 }
 
 // populate builds a store and inserts cfg.Keys records.

@@ -3,6 +3,7 @@ package kvstore
 import (
 	"math"
 	"slices"
+	"sync"
 	"testing"
 
 	"github.com/moatlab/melody/internal/core"
@@ -160,6 +161,28 @@ func TestStoreClonesAreIndependent(t *testing.T) {
 	}
 	if _, again := run(); again != cycles {
 		t.Fatalf("a second run on a new store took %v cycles, the first %v", again, cycles)
+	}
+}
+
+// TestImageConcurrent: concurrent first calls populate a Config once
+// and all return that image.
+func TestImageConcurrent(t *testing.T) {
+	cfg := smallConfig()
+	cfg.Keys += 2 // a Config no other test has populated
+	got := make([]*Store, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = image(cfg)
+		}()
+	}
+	wg.Wait()
+	for i, img := range got {
+		if img == nil || img != got[0] {
+			t.Fatalf("caller %d got %p, caller 0 got %p", i, img, got[0])
+		}
 	}
 }
 
