@@ -24,11 +24,16 @@ type Cache struct {
 	lines []uint64
 	ready []float64 // time the line's data is available (ns)
 	dirty []bool
-	tick  []uint64 // LRU clock values
+	tick  []uint64 // LRU clock values; 0 on invalid entries
 
 	clock uint64
 
 	hits, misses uint64
+
+	// miss is left by the last lookup that missed in a set with
+	// storage, so the Insert that usually follows skips the set's
+	// second scan.
+	miss cursor
 
 	// Bulk PreloadRange spans since Reset not yet written to every set.
 	// An untouched set receives its share of them when its block is
@@ -37,9 +42,36 @@ type Cache struct {
 	spans []span
 }
 
+// cursor records that line (addr / LineSize + 1) was absent from its
+// set when the clock read clock, and that an Insert of it then would
+// have evicted entry victim. Every change to a touched set's lines or
+// ticks but Invalidate advances the clock, so the record holds while
+// the clock has not moved and no Invalidate or Reset has cleared it.
+type cursor struct {
+	line   uint64
+	victim int
+	clock  uint64
+}
+
 // span is a preloaded range: n consecutive line numbers from first,
-// with the clock value just before its first line.
-type span struct{ first, n, clock0 uint64 }
+// with the clock value just before its first line. set0, per and extra
+// are first%sets, n/sets and n%sets, so a set finds its share of the
+// span without dividing.
+type span struct{ first, n, clock0, set0, per, extra uint64 }
+
+// share returns the offset in p of the first line that maps to set s,
+// and how many of p's lines map to s.
+func (p *span) share(s, sets uint64) (off, k uint64) {
+	off = s - p.set0
+	if s < p.set0 {
+		off += sets
+	}
+	k = p.per
+	if off < p.extra {
+		k++
+	}
+	return off, k
+}
 
 // New builds a cache of the given total size and associativity. Size is
 // rounded down to a whole number of sets. It panics if the geometry is
@@ -65,6 +97,7 @@ func (c *Cache) Reset() {
 	c.owner = c.owner[:0]
 	c.clock = 0
 	c.hits, c.misses = 0, 0
+	c.miss = cursor{}
 	c.spans = c.spans[:0]
 }
 
@@ -83,18 +116,9 @@ func (c *Cache) set(addr uint64) int {
 	return int((addr / mem.LineSize) % uint64(c.sets))
 }
 
-// base returns the first entry of addr's set, handing the set a block
-// if it has none.
-func (c *Cache) base(addr uint64) int {
-	s := c.set(addr)
-	if b := c.slot[s]; b != 0 {
-		return int(b-1) * c.ways
-	}
-	return c.claim(s)
-}
-
-// find is base for lookups: an untouched set with no pending preload
-// spans holds nothing, so it reports -1 without taking a block.
+// find returns the first entry of addr's set, handing the set a block
+// on first touch. An untouched set with no pending preload spans holds
+// nothing, so find reports -1 for it without taking a block.
 func (c *Cache) find(addr uint64) int {
 	s := c.set(addr)
 	if b := c.slot[s]; b != 0 {
@@ -132,19 +156,45 @@ func (c *Cache) claim(s int) int {
 	return base
 }
 
+// lookup returns addr's entry if its line is present. A miss in a set
+// with storage leaves the cursor for the Insert that may follow.
+func (c *Cache) lookup(addr uint64) (entry int, hit bool) {
+	base := c.find(addr)
+	if base < 0 {
+		return -1, false
+	}
+	line := addr/mem.LineSize + 1
+	for e, l := range c.lines[base : base+c.ways] {
+		if l == line {
+			return base + e, true
+		}
+	}
+	c.miss = cursor{line, c.victim(base), c.clock}
+	return -1, false
+}
+
+// victim returns the entry an Insert into the set at base evicts.
+// Invalid ways hold tick 0 and valid ticks are distinct and positive,
+// so the last way with the smallest tick is the last invalid way, else
+// the LRU one.
+func (c *Cache) victim(base int) int {
+	e, oldest := base, c.tick[base]
+	for w := base + 1; w < base+c.ways; w++ {
+		if t := c.tick[w]; t <= oldest {
+			e, oldest = w, t
+		}
+	}
+	return e
+}
+
 // Probe looks addr up and returns the entry index on a hit. It counts
 // hit/miss statistics and refreshes LRU state on hits.
 func (c *Cache) Probe(addr uint64) (entry int, hit bool) {
-	if base := c.find(addr); base >= 0 {
-		line := addr/mem.LineSize + 1
-		for e, l := range c.lines[base : base+c.ways] {
-			if l == line {
-				c.clock++
-				c.tick[base+e] = c.clock
-				c.hits++
-				return base + e, true
-			}
-		}
+	if e, ok := c.lookup(addr); ok {
+		c.clock++
+		c.tick[e] = c.clock
+		c.hits++
+		return e, true
 	}
 	c.misses++
 	return -1, false
@@ -152,17 +202,7 @@ func (c *Cache) Probe(addr uint64) (entry int, hit bool) {
 
 // Peek is Probe without statistics or LRU updates (for prefetcher
 // filtering).
-func (c *Cache) Peek(addr uint64) (entry int, hit bool) {
-	if base := c.find(addr); base >= 0 {
-		line := addr/mem.LineSize + 1
-		for e, l := range c.lines[base : base+c.ways] {
-			if l == line {
-				return base + e, true
-			}
-		}
-	}
-	return -1, false
-}
+func (c *Cache) Peek(addr uint64) (entry int, hit bool) { return c.lookup(addr) }
 
 // ReadyAt returns when the entry's data is available.
 func (c *Cache) ReadyAt(entry int) float64 { return c.ready[entry] }
@@ -185,48 +225,41 @@ type Victim struct {
 
 // Insert installs addr with the given readiness time, evicting the LRU
 // way of its set if needed. Inserting an already-present line refreshes
-// it in place (keeping its dirty bit).
+// it in place (keeping its dirty bit). Right after a lookup of addr
+// missed, with the clock unmoved, the lookup's cursor names the way to
+// write.
 func (c *Cache) Insert(addr uint64, readyAt float64, dirty bool) Victim {
-	c.clock++
-	return c.insert(c.base(addr), addr, readyAt, dirty, c.clock)
-}
-
-// insert is Insert into the set starting at entry base with the LRU
-// tick given; the caller owns the clock.
-func (c *Cache) insert(base int, addr uint64, readyAt float64, dirty bool, tick uint64) Victim {
 	line := addr/mem.LineSize + 1
-	victimWay := 0
-	oldest := ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		e := base + w
-		if c.lines[e] == line {
-			c.tick[e] = tick
-			if readyAt < c.ready[e] {
-				c.ready[e] = readyAt
-			}
-			if dirty {
-				c.dirty[e] = true
-			}
-			return Victim{}
+	known := c.miss.line == line && c.miss.clock == c.clock
+	c.clock++
+	e := c.miss.victim
+	if !known {
+		base := c.find(addr)
+		if base < 0 {
+			base = c.claim(c.set(addr))
 		}
-		if c.lines[e] == 0 {
-			// Prefer invalid ways outright.
-			victimWay = w
-			oldest = 0
-		} else if c.tick[e] < oldest {
-			victimWay = w
-			oldest = c.tick[e]
+		for w := base; w < base+c.ways; w++ {
+			if c.lines[w] == line {
+				c.tick[w] = c.clock
+				if readyAt < c.ready[w] {
+					c.ready[w] = readyAt
+				}
+				if dirty {
+					c.dirty[w] = true
+				}
+				return Victim{}
+			}
 		}
+		e = c.victim(base)
 	}
-	e := base + victimWay
 	var v Victim
-	if c.lines[e] != 0 {
-		v = Victim{Addr: (c.lines[e] - 1) * mem.LineSize, Dirty: c.dirty[e], Evicted: true}
+	if l := c.lines[e]; l != 0 {
+		v = Victim{Addr: (l - 1) * mem.LineSize, Dirty: c.dirty[e], Evicted: true}
 	}
 	c.lines[e] = line
 	c.ready[e] = readyAt
 	c.dirty[e] = dirty
-	c.tick[e] = tick
+	c.tick[e] = c.clock
 	return v
 }
 
@@ -254,7 +287,8 @@ func (c *Cache) PreloadRange(addr, n uint64) {
 		end = p.clock0 + p.n
 	}
 	if lazy && c.clock == end {
-		c.spans = append(c.spans, span{first, n, c.clock})
+		sets := uint64(c.sets)
+		c.spans = append(c.spans, span{first, n, c.clock, first % sets, n / sets, n % sets})
 		c.clock += n
 		return
 	}
@@ -279,30 +313,40 @@ func (c *Cache) settle() {
 }
 
 // fill writes set s's share of every pending span into its block at
-// base, span by span in line order, where the Insert loop would have
-// put it: line i of a span lands in the set's highest invalid way with
-// tick clock0+i+1, and a full set falls back to insert's LRU choice.
-// No line of a span can already be present: spans are disjoint and
-// nothing else was inserted before them.
+// base, where the Insert loop would have put it. The block starts
+// empty, spans are disjoint and each gets ticks above the last, so the
+// j-th line to reach the set lands in way ways-1-j%ways and evicts the
+// line ways before it: only the set's last ways lines survive, and
+// fill writes just those.
 func (c *Cache) fill(s, base int) {
-	sets := uint64(c.sets)
-	for _, p := range c.spans {
-		w := c.ways - 1
-		for i := (uint64(s) + sets - p.first%sets) % sets; i < p.n; i += sets {
-			for w >= 0 && c.lines[base+w] != 0 {
-				w--
+	sets, ways := uint64(c.sets), uint64(c.ways)
+	total := uint64(0)
+	for i := range c.spans {
+		_, k := c.spans[i].share(uint64(s), sets)
+		total += k
+	}
+	skip := total - min(total, ways) // lines evicted within the fill
+	w := ways - 1
+	if skip > 0 {
+		w -= skip % ways
+	}
+	for i := range c.spans {
+		p := &c.spans[i]
+		off, k := p.share(uint64(s), sets)
+		if skip >= k {
+			skip -= k
+			continue
+		}
+		for j := off + skip*sets; j < p.n; j += sets {
+			e := base + int(w)
+			c.lines[e] = p.first + j + 1
+			c.tick[e] = p.clock0 + j + 1
+			if w == 0 {
+				w = ways
 			}
-			if w < 0 {
-				c.insert(base, (p.first+i)*mem.LineSize, 0, false, p.clock0+i+1)
-				continue
-			}
-			e := base + w
-			c.lines[e] = p.first + i + 1
-			c.ready[e] = 0
-			c.dirty[e] = false
-			c.tick[e] = p.clock0 + i + 1
 			w--
 		}
+		skip = 0
 	}
 }
 
@@ -313,6 +357,8 @@ func (c *Cache) Invalidate(addr uint64) Victim {
 		c.lines[e] = 0
 		c.dirty[e] = false
 		c.ready[e] = 0
+		c.tick[e] = 0 // the victim choice reads tick 0 as invalid
+		c.miss = cursor{}
 		return v
 	}
 	return Victim{}

@@ -38,12 +38,17 @@ func (m *Machine) regionIndex(addr uint64) int {
 	return -1
 }
 
-// Preload installs an address range into the LLC (and the leading edge
-// into L2) as already-resident clean lines, modelling the steady-state
-// residency a long-running program would have built up — simulation
-// windows are far too short to warm hundreds of megabytes organically.
-// Total preloading is capped at 85% of LLC capacity; later calls
-// preload less once the budget is spent.
+// Preload installs an address range into the LLC as already-resident
+// clean lines, modelling the steady-state residency a long-running
+// program would have built up — simulation windows are far too short to
+// warm hundreds of megabytes organically. Total preloading is capped at
+// 85% of LLC capacity; later calls preload less once the budget is
+// spent. Each call also pushes the first min(n, half the L2) of its n
+// lines through the L2, in order. The cap is per call, so several calls
+// push more than the L2 holds, and each L2 set keeps only the last
+// ways lines to reach it. When a hot set and four streams each push
+// half the L2's lines through it, only the last two streams' lines
+// survive (TestPreloadL2Survivors).
 func (m *Machine) Preload(base, size uint64) {
 	capacity := uint64(float64(m.l3.Sets()*m.l3.Ways()) * 0.85)
 	l2cap := uint64(float64(m.l2.Sets()*m.l2.Ways()) * 0.5)
