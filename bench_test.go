@@ -62,7 +62,7 @@ func runExperiment(b *testing.B, id string) {
 	var rep *melody.Report
 	for i := 0; i < b.N; i++ {
 		var ok bool
-		rep, ok = melody.RunExperiment(context.Background(), id, benchOptions(), 0)
+		rep, ok = melody.NewEngine(benchOptions()).RunByID(context.Background(), id)
 		if !ok {
 			b.Fatalf("experiment %q not registered", id)
 		}

@@ -125,15 +125,6 @@ func (g *Engine) report(id string, done, total int) {
 	g.progressMu.Unlock()
 }
 
-// RunExperiment executes a registered experiment with a one-shot engine
-// — the convenience path for tests, benchmarks and library callers that
-// do not need cross-experiment cache sharing.
-func RunExperiment(ctx context.Context, id string, o Options, workers int) (*Report, bool) {
-	g := NewEngine(o)
-	g.Workers = workers
-	return g.RunByID(ctx, id)
-}
-
 // ExperimentContext is what every experiment receives: the experiment's
 // options plus access to the engine's shared runners, batch submission
 // with progress reporting, and the run's cancellation context.
@@ -176,8 +167,7 @@ func (ec *ExperimentContext) Declare(r *Runner, cells []RunRequest) error {
 }
 
 // Run executes (or fetches) one cell on r under the experiment's
-// cancellation context — the context-first form experiments use in
-// place of the deprecated Runner.Run. A canceled run yields the zero
+// cancellation context. A canceled run yields the zero
 // Result; the engine loop discards the interrupted experiment's
 // report, so partial figures never escape.
 func (ec *ExperimentContext) Run(r *Runner, spec workload.Spec, mc MemConfig) Result {
@@ -186,8 +176,7 @@ func (ec *ExperimentContext) Run(r *Runner, spec workload.Spec, mc MemConfig) Re
 }
 
 // Slowdown measures one workload's slowdown on target vs the local
-// baseline under the experiment's context (context-first form of the
-// deprecated Runner.Slowdown).
+// baseline under the experiment's context.
 func (ec *ExperimentContext) Slowdown(r *Runner, spec workload.Spec, target MemConfig) float64 {
 	out, err := r.SlowdownCtx(ec.ctx, spec, target)
 	if err != nil {
@@ -197,7 +186,7 @@ func (ec *ExperimentContext) Slowdown(r *Runner, spec workload.Spec, target MemC
 }
 
 // Slowdowns evaluates specs against target on r under the experiment's
-// context (context-first form of the deprecated Runner.Slowdowns).
+// context.
 // Experiments Declare their full cell set up front, so these calls are
 // normally pure cache lookups; Slowdowns therefore does not re-declare.
 func (ec *ExperimentContext) Slowdowns(r *Runner, specs []workload.Spec, target MemConfig) []float64 {

@@ -156,7 +156,7 @@ func TestCacheSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = r.Run(spec, counted)
+			results[i] = must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: counted}))
 		}(i)
 	}
 	wg.Wait()

@@ -21,6 +21,15 @@ func testCtx(o Options) *ExperimentContext {
 	return NewEngine(o).context(context.Background(), "test")
 }
 
+// must unwraps a Runner call made under context.Background, which is
+// never canceled, so an error is a bug.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
 // fastRunner returns a runner with small windows for test speed.
 func fastRunner(p platform.Platform) *Runner {
 	r := NewRunner(p)
@@ -61,8 +70,8 @@ func TestRunnerCaching(t *testing.T) {
 	emr := platform.EMR2S()
 	r := fastRunner(emr)
 	spec, _ := workload.ByName("625.x264_s")
-	a := r.Run(spec, Local(emr))
-	b := r.Run(spec, Local(emr))
+	a := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: Local(emr)}))
+	b := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: Local(emr)}))
 	if a.Cycles() != b.Cycles() {
 		t.Fatal("cached run differed")
 	}
@@ -73,8 +82,8 @@ func TestRunnerDeterminism(t *testing.T) {
 	RegisterWorkloads()
 	emr := platform.EMR2S()
 	spec, _ := workload.ByName("605.mcf_s")
-	a := fastRunner(emr).Run(spec, Local(emr))
-	b := fastRunner(emr).Run(spec, Local(emr))
+	a := must(fastRunner(emr).RunCtx(context.Background(), RunRequest{Spec: spec, Config: Local(emr)}))
+	b := must(fastRunner(emr).RunCtx(context.Background(), RunRequest{Spec: spec, Config: Local(emr)}))
 	if a.Cycles() != b.Cycles() {
 		t.Fatalf("same seed diverged: %v vs %v", a.Cycles(), b.Cycles())
 	}
@@ -89,11 +98,11 @@ func TestSlowdownOrdering(t *testing.T) {
 	run, runP := fastRunner(emr), fastRunner(emrP)
 	med := func(xs []float64) float64 { return stats.Percentile(xs, 50) }
 
-	numa := med(run.Slowdowns(specs, NUMA(emr)))
-	d := med(runP.Slowdowns(specs, CXL(emrP, cxl.ProfileD())))
-	a := med(run.Slowdowns(specs, CXL(emr, cxl.ProfileA())))
-	b := med(run.Slowdowns(specs, CXL(emr, cxl.ProfileB())))
-	c := med(run.Slowdowns(specs, CXL(emr, cxl.ProfileC())))
+	numa := med(must(run.SlowdownsCtx(context.Background(), specs, NUMA(emr))))
+	d := med(must(runP.SlowdownsCtx(context.Background(), specs, CXL(emrP, cxl.ProfileD()))))
+	a := med(must(run.SlowdownsCtx(context.Background(), specs, CXL(emr, cxl.ProfileA()))))
+	b := med(must(run.SlowdownsCtx(context.Background(), specs, CXL(emr, cxl.ProfileB()))))
+	c := med(must(run.SlowdownsCtx(context.Background(), specs, CXL(emr, cxl.ProfileC()))))
 	t.Logf("median slowdowns: NUMA %.1f%% D %.1f%% A %.1f%% B %.1f%% C %.1f%%",
 		numa*100, d*100, a*100, b*100, c*100)
 	// The paper's CDF ordering is NUMA <= D <= A <= B <= C. CXL-D runs
@@ -116,8 +125,8 @@ func TestBandwidthTail(t *testing.T) {
 	emr := platform.EMR2S()
 	run := fastRunner(emr)
 	spec, _ := workload.ByName("603.bwaves_s")
-	numa := run.Slowdown(spec, NUMA(emr))
-	a := run.Slowdown(spec, CXL(emr, cxl.ProfileA()))
+	numa := must(run.SlowdownCtx(context.Background(), spec, NUMA(emr)))
+	a := must(run.SlowdownCtx(context.Background(), spec, CXL(emr, cxl.ProfileA())))
 	if a < 1.5 {
 		t.Fatalf("bandwidth-bound CXL-A slowdown = %.0f%%, want >= 150%%", a*100)
 	}
@@ -137,7 +146,7 @@ func TestComputeTolerance(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing", name)
 		}
-		if s := run.Slowdown(spec, CXL(emr, cxl.ProfileA())); s > 0.10 {
+		if s := must(run.SlowdownCtx(context.Background(), spec, CXL(emr, cxl.ProfileA()))); s > 0.10 {
 			t.Fatalf("%s slows %.1f%% on CXL-A, want < 10%%", name, s*100)
 		}
 	}
@@ -151,8 +160,8 @@ func TestCXLNUMAPathology(t *testing.T) {
 	emr := platform.EMR2S()
 	spec, _ := workload.ByName("520.omnetpp_r")
 	run := fastRunner(emr)
-	cxlS := run.Slowdown(spec, CXL(emr, cxl.ProfileA()))
-	mixS := run.Slowdown(spec, CXLNUMA(emr, cxl.ProfileA()))
+	cxlS := must(run.SlowdownCtx(context.Background(), spec, CXL(emr, cxl.ProfileA())))
+	mixS := must(run.SlowdownCtx(context.Background(), spec, CXLNUMA(emr, cxl.ProfileA())))
 	t.Logf("omnetpp: CXL-A %.0f%%, CXL-A+NUMA %.0f%%", cxlS*100, mixS*100)
 	if mixS < cxlS*1.8 {
 		t.Fatalf("CXL+NUMA pathology missing: CXL %.0f%% vs CXL+NUMA %.0f%%", cxlS*100, mixS*100)
@@ -165,7 +174,7 @@ func TestCXLNUMAPathology(t *testing.T) {
 	light.Profile.WorkingSetMB /= 4
 	light.Siblings.DelayNs *= 4
 	lightRun := fastRunner(emr)
-	lightMix := lightRun.Slowdown(light, CXLNUMA(emr, cxl.ProfileA()))
+	lightMix := must(lightRun.SlowdownCtx(context.Background(), light, CXLNUMA(emr, cxl.ProfileA())))
 	if lightMix > mixS*0.7 {
 		t.Fatalf("intensity scaling did not shrink pathology: full %.0f%% vs 1/4 %.0f%%",
 			mixS*100, lightMix*100)
@@ -180,8 +189,8 @@ func TestSpaAccuracyAcrossCatalog(t *testing.T) {
 	run := fastRunner(emr)
 	within := 0
 	for _, s := range specs {
-		base := run.Run(s, Local(emr))
-		tgt := run.Run(s, CXL(emr, cxl.ProfileA()))
+		base := must(run.RunCtx(context.Background(), RunRequest{Spec: s, Config: Local(emr)}))
+		tgt := must(run.RunCtx(context.Background(), RunRequest{Spec: s, Config: CXL(emr, cxl.ProfileA())}))
 		b := spa.Analyze(base.Delta, tgt.Delta)
 		_, _, em := spa.AccuracyErrors(b)
 		if em <= 0.05 {
@@ -209,8 +218,8 @@ func TestFig12Shift(t *testing.T) {
 	run := fastRunner(emr)
 	var dec, inc []float64
 	for _, s := range specs {
-		base := run.Run(s, Local(emr))
-		tgt := run.Run(s, CXL(emr, cxl.ProfileB()))
+		base := must(run.RunCtx(context.Background(), RunRequest{Spec: s, Config: Local(emr)}))
+		tgt := must(run.RunCtx(context.Background(), RunRequest{Spec: s, Config: CXL(emr, cxl.ProfileB())}))
 		d := tgt.Delta.Delta(base.Delta)
 		dec = append(dec, -d[counters.L2PFL3Miss])
 		inc = append(inc, d[counters.L1PFL3Miss])
@@ -231,9 +240,9 @@ func TestYCSBSuperlinear(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s missing", name)
 		}
-		numa := run.Slowdown(spec, NUMA(emr))
-		a := run.Slowdown(spec, CXL(emr, cxl.ProfileA()))
-		b := run.Slowdown(spec, CXL(emr, cxl.ProfileB()))
+		numa := must(run.SlowdownCtx(context.Background(), spec, NUMA(emr)))
+		a := must(run.SlowdownCtx(context.Background(), spec, CXL(emr, cxl.ProfileA())))
+		b := must(run.SlowdownCtx(context.Background(), spec, CXL(emr, cxl.ProfileB())))
 		t.Logf("%s: NUMA %.1f%% CXL-A %.1f%% CXL-B %.1f%%", name, numa*100, a*100, b*100)
 		if !(numa < a && a < b) {
 			t.Fatalf("%s: slowdown not increasing with latency: %v %v %v", name, numa, a, b)

@@ -45,7 +45,7 @@ func TestProfileReconcilesWithCounters(t *testing.T) {
 	}
 	r := fastRunner(p)
 	r.SampleEveryCycles = 20_000
-	res := r.Run(spec, CXL(p, cxl.ProfileB()))
+	res := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: CXL(p, cxl.ProfileB())}))
 	if len(res.Sampled) == 0 {
 		t.Fatal("no sampled stream")
 	}
@@ -81,7 +81,7 @@ func TestProfileHasDeviceFrames(t *testing.T) {
 	}
 	r := fastRunner(p)
 	r.SampleEveryCycles = 20_000
-	res := r.Run(spec, CXL(p, cxl.ProfileB()))
+	res := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: CXL(p, cxl.ProfileB())}))
 
 	prof := BuildProfile([]SampledSeries{{
 		Workload: res.Workload, Config: res.Config, Platform: p.CPU.Name,

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/moatlab/melody/internal/apps/graph"
@@ -126,7 +127,7 @@ func (r Result) Cycles() float64 { return r.Delta[counters.Cycles] }
 // Runner executes workloads with memoization: the local-DRAM baseline
 // of a workload is shared by every figure that needs its slowdown. The
 // cache is a sharded singleflight, so concurrent requests for the same
-// cell compute it exactly once, and bulk submissions (RunAll, Slowdowns)
+// cell compute it exactly once, and bulk submissions (RunAll, SlowdownsCtx)
 // fan out across a worker pool. Every cell's seed is derived from its
 // cache identity (workload, config, base seed), so results are
 // bit-identical regardless of scheduling order or worker count.
@@ -225,25 +226,10 @@ func deriveSeed(workloadName, configName string, base uint64) uint64 {
 	return splitmix64(fnv1a(workloadName+"|"+configName) ^ splitmix64(base))
 }
 
-// Run executes (or returns the cached) measurement of spec on mc.
-// It is safe for concurrent use; equal cells are computed exactly once.
-//
-// Deprecated: use RunCtx, the context-first core this wraps with
-// context.Background(). Experiments should go through
-// ExperimentContext.Run, which threads the run's cancellation context.
-func (r *Runner) Run(spec workload.Spec, mc MemConfig) Result {
-	res, _ := r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: mc})
-	return res
-}
-
 // RunCtx executes (or returns the cached) measurement of one cell. If
 // another goroutine is already computing the same cell, it waits for
 // that computation instead of duplicating it; ctx cancels the wait (and
 // refuses to start new work) but never aborts a simulation mid-run.
-//
-// RunCtx, RunAll, SlowdownCtx and SlowdownsCtx are the Runner's core
-// API; the context-free names are deprecated wrappers kept for
-// external callers.
 func (r *Runner) RunCtx(ctx context.Context, req RunRequest) (Result, error) {
 	res, _, err := r.runCtx(ctx, req)
 	return res, err
@@ -265,14 +251,15 @@ func (r *Runner) runCtx(ctx context.Context, req RunRequest) (Result, cacheOutco
 }
 
 // RunAll executes a batch of cells across the worker pool and returns
-// results in request order. It is the bulk primitive behind Slowdowns
+// results in request order. It is the bulk primitive behind SlowdownsCtx
 // and the experiment engine's cell submission.
 func (r *Runner) RunAll(ctx context.Context, reqs []RunRequest) ([]Result, error) {
 	return r.runAll(ctx, reqs, nil)
 }
 
-// runAll fans reqs out over min(workers, len(reqs)) goroutines; onDone
-// (optional) observes completions for progress reporting.
+// runAll fans reqs out over min(workers, len(reqs)) goroutines (one
+// at -j 1, on worker track 0) and stops feeding cells after the first
+// error; onDone (optional) observes completions for progress reporting.
 //
 // When ctx carries a request-plane span (a traced job submission), each
 // completed cell is additionally reported post-completion as a "cell"
@@ -287,31 +274,11 @@ func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) (
 	if workers > len(reqs) {
 		workers = len(reqs)
 	}
-	if workers <= 1 {
-		for i, req := range reqs {
-			sp := r.Obs.cellSpan(0, req)
-			var t0 time.Time
-			if parent != nil {
-				t0 = time.Now()
-			}
-			res, oc, err := r.runCtx(ctx, req)
-			endCellSpan(sp, oc)
-			if err != nil {
-				return nil, err
-			}
-			cellChild(parent, 0, req, t0, oc)
-			results[i] = res
-			if onDone != nil {
-				onDone()
-			}
-		}
-		return results, nil
-	}
-
 	var (
 		wg      sync.WaitGroup
-		errMu   sync.Mutex
+		errOnce sync.Once
 		firstEr error
+		failed  atomic.Bool
 	)
 	next := make(chan int)
 	for w := 0; w < workers; w++ {
@@ -319,21 +286,24 @@ func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) (
 		go func(worker int) {
 			defer wg.Done()
 			for i := range next {
+				// Cells already handed out when a cell fails are
+				// skipped, so at -j 1 no cell runs after a failure.
+				if failed.Load() {
+					continue
+				}
 				sp := r.Obs.cellSpan(worker, reqs[i])
 				var t0 time.Time
 				if parent != nil {
 					t0 = time.Now()
 				}
 				res, oc, err := r.runCtx(ctx, reqs[i])
-				endCellSpan(sp, oc)
 				if err != nil {
-					errMu.Lock()
-					if firstEr == nil {
-						firstEr = err
-					}
-					errMu.Unlock()
+					errOnce.Do(func() { firstEr = err; failed.Store(true) })
 					continue
 				}
+				// Spans record only cells that returned a result: a
+				// canceled cell was neither run nor served from cache.
+				endCellSpan(sp, oc)
 				cellChild(parent, worker, reqs[i], t0, oc)
 				results[i] = res
 				if onDone != nil {
@@ -343,6 +313,9 @@ func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) (
 		}(w)
 	}
 	for i := range reqs {
+		if failed.Load() {
+			break
+		}
 		next <- i
 	}
 	close(next)
@@ -509,29 +482,9 @@ func (r *Runner) SlowdownCtx(ctx context.Context, spec workload.Spec, target Mem
 	return out[0], nil
 }
 
-// Slowdown measures spec's slowdown of target relative to the local
-// baseline: S = (c_target - c_local) / c_local.
-//
-// Deprecated: use SlowdownCtx (or ExperimentContext.Slowdown inside
-// experiments), which this wraps with context.Background().
-func (r *Runner) Slowdown(spec workload.Spec, target MemConfig) float64 {
-	out, _ := r.SlowdownCtx(context.Background(), spec, target)
-	return out
-}
-
-// Slowdowns evaluates a workload set against one target config, fanning
-// the baseline and target cells out across the worker pool.
-//
-// Deprecated: use SlowdownsCtx (or ExperimentContext.Slowdowns inside
-// experiments), which this wraps with context.Background().
-func (r *Runner) Slowdowns(specs []workload.Spec, target MemConfig) []float64 {
-	out, _ := r.SlowdownsCtx(context.Background(), specs, target)
-	return out
-}
-
-// SlowdownsCtx is Slowdowns with cancellation: it submits the full
-// baseline + target cell set as one batch and derives the slowdowns
-// from the results.
+// SlowdownsCtx evaluates a workload set against one target config: it
+// submits the full baseline + target cell set as one batch under ctx
+// and derives the slowdowns from the results.
 func (r *Runner) SlowdownsCtx(ctx context.Context, specs []workload.Spec, target MemConfig) ([]float64, error) {
 	reqs := append(Cells(specs, Local(r.Platform)), Cells(specs, target)...)
 	results, err := r.RunAll(ctx, reqs)

@@ -183,8 +183,8 @@ func TestSampledStreamFeedsPeriodSpa(t *testing.T) {
 	}
 	r := fastRunner(p)
 	r.SampleEveryCycles = 20_000
-	base := r.Run(spec, Local(p))
-	tgt := r.Run(spec, CXL(p, cxl.ProfileB()))
+	base := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: Local(p)}))
+	tgt := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: CXL(p, cxl.ProfileB())}))
 
 	periods := spa.AnalyzePeriods(
 		sampler.CoreSamplesOf(base.Sampled),

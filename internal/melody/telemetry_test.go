@@ -9,6 +9,7 @@ import (
 
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/obs"
+	"github.com/moatlab/melody/internal/obs/tracespan"
 	"github.com/moatlab/melody/internal/platform"
 )
 
@@ -78,6 +79,55 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 	}
 	if _, err := json.Marshal(tel.Registry); err != nil {
 		t.Fatalf("registry does not marshal: %v", err)
+	}
+}
+
+// TestCanceledCellsLeaveNoSpans pins that only a cell that returned a
+// result is traced, on the engine trace and on the request trace alike:
+// RunAll under a canceled context runs no cell and records no cell span,
+// at -j 1 and at -j 2.
+func TestCanceledCellsLeaveNoSpans(t *testing.T) {
+	emr := platform.EMR2S()
+	reqs := Cells(testSubset(t, 8)[:3], Local(emr), NUMA(emr))
+	for _, workers := range []int{1, 2} {
+		r := fastRunner(emr)
+		r.Workers = workers
+		tel := NewTelemetry()
+		tel.Trace = obs.NewTrace()
+		r.Obs = tel
+		store := tracespan.NewStore(0, 0)
+		ctx, root := tracespan.NewTracer(store).StartRoot(context.Background(), "exec", tracespan.SpanContext{})
+		ctx, cancel := context.WithCancel(ctx)
+		cancel()
+		if _, err := r.RunAll(ctx, reqs); err == nil {
+			t.Fatalf("-j %d: RunAll under a canceled context returned no error", workers)
+		}
+		root.End()
+
+		raw, err := json.Marshal(tel.Trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var trace struct {
+			TraceEvents []obs.Event `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(raw, &trace); err != nil {
+			t.Fatal(err)
+		}
+		for _, ev := range trace.TraceEvents {
+			if ev.Cat == "cell" {
+				t.Fatalf("-j %d: canceled cell traced: %+v", workers, ev)
+			}
+		}
+		_, spans, _ := store.Get(root.TraceID())
+		for _, sp := range spans {
+			if sp.Name == "cell" {
+				t.Fatalf("-j %d: canceled cell on the request trace: %+v", workers, sp)
+			}
+		}
+		if n := tel.Registry.Snapshot().Counters["runner/cells_run"]; n != 0 {
+			t.Fatalf("-j %d: cells_run = %d, want 0", workers, n)
+		}
 	}
 }
 

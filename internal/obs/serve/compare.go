@@ -31,7 +31,6 @@ import (
 	"io"
 	"net/http"
 	"sort"
-	"strconv"
 	"strings"
 
 	"github.com/moatlab/melody/internal/jobs"
@@ -47,99 +46,85 @@ import (
 // job completion is automatically diffed against the pinned baselines
 // matching its experiment set. Call before Handler/Start, after
 // AttachJobs (the compare operands resolve through the job manager).
-func (s *Server) AttachLedger(led *ledger.Ledger) {
-	if led == nil {
-		return
-	}
-	s.ledger = led
-}
+func (s *Server) AttachLedger(led *ledger.Ledger) { s.ledger = led }
 
 // operandError pairs an HTTP status with a message, so resolve's
-// callers answer 400 vs 404 without re-classifying strings.
+// callers answer 400, 404 or 500 without re-classifying strings.
 type operandError struct {
 	code int
 	msg  string
 }
 
-func (e *operandError) Error() string { return e.msg }
-
-// resolveOperand turns one /compare operand into manifest bytes. Run
-// ids resolve through the job table (so "the run I just watched" works
-// verbatim); spec hashes resolve through the run store (so stored
-// history works even after the job table is gone).
-func (a *jobAPI) resolveOperand(name, val string) ([]byte, *operandError) {
+// resolve turns a run id or spec hash into its decoded manifest; name
+// labels the operand in error messages. Run ids resolve through the
+// job table (so "the run I just watched" works verbatim); spec hashes
+// resolve through the run store (so stored history works even after
+// the job table is gone).
+func (a *jobAPI) resolve(name, val string) (melody.Manifest, *operandError) {
+	fail := func(code int, format string, args ...any) (melody.Manifest, *operandError) {
+		return melody.Manifest{}, &operandError{code, fmt.Sprintf(format, args...)}
+	}
+	var raw []byte
 	switch {
 	case val == "":
-		return nil, &operandError{http.StatusBadRequest,
-			fmt.Sprintf("missing %q: want a run id (run-000001) or spec hash (sha256:…)", name)}
+		return fail(http.StatusBadRequest, "missing %q: want a run id (run-000001) or spec hash (sha256:…)", name)
 	case strings.HasPrefix(val, "run-"):
-		raw, _, err := a.mgr.Manifest(val)
+		var err error
+		raw, _, err = a.mgr.Manifest(val)
 		switch {
 		case errors.Is(err, jobs.ErrUnknownJob):
-			return nil, &operandError{http.StatusNotFound, fmt.Sprintf("%s: unknown job %s", name, val)}
+			return fail(http.StatusNotFound, "%s: unknown job %s", name, val)
 		case errors.Is(err, jobs.ErrNotFinished):
-			return nil, &operandError{http.StatusNotFound, fmt.Sprintf("%s: job %s has not finished", name, val)}
+			return fail(http.StatusNotFound, "%s: job %s has not finished", name, val)
 		case err != nil:
-			return nil, &operandError{http.StatusNotFound, fmt.Sprintf("%s: %v", name, err)}
+			return fail(http.StatusNotFound, "%s: %v", name, err)
 		}
-		return raw, nil
 	case strings.HasPrefix(val, "sha256:"):
-		raw, _, ok := a.mgr.ManifestBySpec(val)
-		if !ok {
-			return nil, &operandError{http.StatusNotFound, fmt.Sprintf("%s: no stored run for spec %s", name, val)}
+		var ok bool
+		if raw, _, ok = a.mgr.ManifestBySpec(val); !ok {
+			return fail(http.StatusNotFound, "%s: no stored run for spec %s", name, val)
 		}
-		return raw, nil
 	default:
-		return nil, &operandError{http.StatusBadRequest,
-			fmt.Sprintf("bad %s %q: want a run id (run-000001) or spec hash (sha256:…)", name, val)}
+		return fail(http.StatusBadRequest, "bad %s %q: want a run id (run-000001) or spec hash (sha256:…)", name, val)
 	}
+	m, err := melody.DecodeManifest(raw)
+	if err != nil {
+		return fail(http.StatusInternalServerError, "%s manifest: %v", name, err)
+	}
+	return m, nil
 }
 
 // compare is GET /compare?base=&head=[&threshold=].
 func (s *Server) compare(w http.ResponseWriter, r *http.Request) {
 	s.compares.Inc()
-	q := r.URL.Query()
 	opt := diff.Options{}
-	if v := q.Get("threshold"); v != "" {
-		th, err := strconv.ParseFloat(v, 64)
-		if err != nil || th < 0 {
-			http.Error(w, "bad threshold: want a non-negative number (0.05 = 5%)", http.StatusBadRequest)
-			return
-		}
-		opt.Threshold = th
+	if !queryNum(w, r, "threshold", &opt.Threshold, 0, "a non-negative number (0.05 = 5%)") {
+		return
 	}
-	base, head := q.Get("base"), q.Get("head")
-	baseRaw, operr := s.jobs.resolveOperand("base", base)
-	if operr == nil {
-		var headRaw []byte
-		if headRaw, operr = s.jobs.resolveOperand("head", head); operr == nil {
-			baseM, err := melody.DecodeManifest(baseRaw)
-			if err != nil {
-				http.Error(w, "base manifest: "+err.Error(), http.StatusInternalServerError)
-				return
-			}
-			headM, err := melody.DecodeManifest(headRaw)
-			if err != nil {
-				http.Error(w, "head manifest: "+err.Error(), http.StatusInternalServerError)
-				return
-			}
-			rep := diff.Compare(baseM, headM, opt)
-			rep.OldPath, rep.NewPath = base, head
-			if rep.HasRegressions() {
-				s.compareRegr.Inc()
-			}
-			// Content negotiation mirrors /metrics: structured JSON on
-			// request, the melodydiff table otherwise.
-			if wantsJSON(r.Header.Get("Accept")) {
-				writeJSON(w, rep)
-				return
-			}
-			w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-			io.WriteString(w, rep.Table())
-			return
-		}
+	base, head := r.URL.Query().Get("base"), r.URL.Query().Get("head")
+	baseM, operr := s.jobs.resolve("base", base)
+	if operr != nil {
+		http.Error(w, operr.msg, operr.code)
+		return
 	}
-	http.Error(w, operr.msg, operr.code)
+	headM, operr := s.jobs.resolve("head", head)
+	if operr != nil {
+		http.Error(w, operr.msg, operr.code)
+		return
+	}
+	rep := diff.Compare(baseM, headM, opt)
+	rep.OldPath, rep.NewPath = base, head
+	if rep.HasRegressions() {
+		s.compareRegr.Inc()
+	}
+	// Content negotiation mirrors /metrics: structured JSON on request,
+	// the melodydiff table otherwise.
+	if wantsJSON(r.Header.Get("Accept")) {
+		writeJSON(w, rep)
+		return
+	}
+	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+	io.WriteString(w, rep.Table())
 }
 
 // wantsJSON implements /compare's two-dialect negotiation: anything
@@ -201,9 +186,7 @@ func (s *Server) baselinePin(w http.ResponseWriter, r *http.Request) {
 	s.log.Info("baseline pinned",
 		svclog.KeyReqID, svclog.ReqID(r.Context()),
 		"baseline", b.Name, svclog.KeySpecHash, b.SpecHash, "address", b.Address)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	json.NewEncoder(w).Encode(b)
+	writeJSONStatus(w, http.StatusCreated, b)
 }
 
 // baselineUnpin is DELETE /baselines/{name}.
@@ -214,13 +197,6 @@ func (s *Server) baselineUnpin(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// noLedger answers /compare and /baselines when no durable ledger is
-// attached — same 503-with-hint pattern as the other optional
-// subsystems.
-func (s *Server) noLedger(w http.ResponseWriter, r *http.Request) {
-	http.Error(w, "run ledger not enabled on this observatory (start with -data-dir)", http.StatusServiceUnavailable)
 }
 
 // experimentSet is the baseline-matching identity: the sorted
@@ -254,14 +230,10 @@ func (a *jobAPI) diffOnCompletion(ev jobs.Event) {
 	if len(baselines) == 0 {
 		return
 	}
-	raw, _, ok := a.mgr.ManifestBySpec(ev.SpecHash)
-	if !ok {
-		return
-	}
-	headM, err := melody.DecodeManifest(raw)
-	if err != nil {
-		s.log.Error("baseline diff: head manifest undecodable",
-			svclog.KeyJobID, ev.JobID, svclog.KeySpecHash, ev.SpecHash, "err", err.Error())
+	headM, operr := a.resolve("head", ev.SpecHash)
+	if operr != nil {
+		s.log.Error("baseline diff: head manifest unavailable",
+			svclog.KeyJobID, ev.JobID, svclog.KeySpecHash, ev.SpecHash, "err", operr.msg)
 		return
 	}
 	st, ok := a.mgr.Status(ev.JobID)
@@ -284,14 +256,10 @@ func (a *jobAPI) diffOnCompletion(ev jobs.Event) {
 		if err != nil || experimentSet(baseSpec.Experiments) != headSet {
 			continue
 		}
-		baseRaw, _, ok := led.Get(b.SpecHash)
-		if !ok {
-			continue
-		}
-		baseM, err := melody.DecodeManifest(baseRaw)
-		if err != nil {
-			s.log.Error("baseline diff: baseline manifest undecodable",
-				"baseline", b.Name, svclog.KeySpecHash, b.SpecHash, "err", err.Error())
+		baseM, operr := a.resolve("baseline", b.SpecHash)
+		if operr != nil {
+			s.log.Error("baseline diff: baseline manifest unavailable",
+				"baseline", b.Name, svclog.KeySpecHash, b.SpecHash, "err", operr.msg)
 			continue
 		}
 		s.baselineChecks.Inc()

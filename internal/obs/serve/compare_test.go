@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -325,6 +326,67 @@ func TestBaselineRegressionFlow(t *testing.T) {
 	dresp2.Body.Close()
 	if dresp2.StatusCode != http.StatusNotFound {
 		t.Fatalf("second DELETE = %d, want 404", dresp2.StatusCode)
+	}
+}
+
+// TestCompareAgreesWithBaselineHook pins the shared manifest resolver:
+// once the pinned-baseline hook flags a run, /compare of the baseline's
+// spec hash against that run id reports exactly as many regressions as
+// the hook's SSE event and its melody_regressions_total increment.
+func TestCompareAgreesWithBaselineHook(t *testing.T) {
+	f := newLedgerServer(t)
+	fast := runSeed(t, f.ts, 1)
+	pin, err := json.Marshal(map[string]string{"name": "golden", "spec_hash": fast.SpecHash})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(f.ts.URL+"/baselines", "application/json", bytes.NewReader(pin))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("POST /baselines = %d", resp.StatusCode)
+	}
+	// regressionsTotal reads the counter off /metrics (0 before the
+	// first regression creates it).
+	regressionsTotal := func() int {
+		metrics, _ := getAccept(t, f.ts.URL+"/metrics", "")
+		const series = `melody_regressions_total{baseline="golden"} `
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, series); ok {
+				n, err := strconv.Atoi(v)
+				if err != nil {
+					t.Fatalf("bad sample %q", line)
+				}
+				return n
+			}
+		}
+		return 0
+	}
+	before := regressionsTotal()
+
+	sub := f.srv.Hub().Subscribe()
+	defer f.srv.Hub().Unsubscribe(sub)
+	slow := runSeed(t, f.ts, 3)
+	ev := waitForEvent(t, sub, EventRegression)
+	if ev.Job != slow.ID || ev.Regressions == 0 {
+		t.Fatalf("regression event = %+v", ev)
+	}
+	if added := regressionsTotal() - before; added != ev.Regressions {
+		t.Fatalf("melody_regressions_total grew by %d, event reports %d", added, ev.Regressions)
+	}
+
+	body, resp := getAccept(t, f.ts.URL+"/compare?base="+fast.SpecHash+"&head="+slow.ID, "application/json")
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("/compare = %d: %s", resp.StatusCode, body)
+	}
+	var rep diff.Report
+	if err := json.Unmarshal([]byte(body), &rep); err != nil {
+		t.Fatalf("bad /compare json: %v\n%s", err, body)
+	}
+	if len(rep.Regressions) != ev.Regressions {
+		t.Fatalf("/compare reports %d regressions, the baseline hook %d", len(rep.Regressions), ev.Regressions)
 	}
 }
 

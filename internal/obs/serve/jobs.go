@@ -181,10 +181,8 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request) {
 		"cache_hit", st.CacheHit,
 		"queue_position", st.QueuePos,
 	)
-	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("Location", "/runs/"+st.ID)
-	w.WriteHeader(code)
-	json.NewEncoder(w).Encode(st)
+	writeJSONStatus(w, code, st)
 }
 
 // list is GET /runs. Filters follow the /traces and /profiles
@@ -194,8 +192,8 @@ func (a *jobAPI) submit(w http.ResponseWriter, r *http.Request) {
 //	?limit=20       at most this many jobs, newest submissions last
 //	                (the tail of the submission-ordered list)
 func (a *jobAPI) list(w http.ResponseWriter, r *http.Request) {
-	limit, ok := limitParam(w, r)
-	if !ok {
+	limit := -1
+	if !queryNum(w, r, "limit", &limit, 0, "a non-negative integer") {
 		return
 	}
 	var state jobs.State
@@ -252,9 +250,7 @@ func (a *jobAPI) manifest(w http.ResponseWriter, r *http.Request) {
 		return
 	case errors.Is(err, jobs.ErrNotFinished):
 		st, _ := a.mgr.Status(id)
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(st)
+		writeJSONStatus(w, http.StatusAccepted, st)
 		return
 	case err != nil:
 		http.Error(w, err.Error(), http.StatusConflict)
@@ -265,66 +261,26 @@ func (a *jobAPI) manifest(w http.ResponseWriter, r *http.Request) {
 	w.Write(raw)
 }
 
-// events is GET /runs/{id}/events: the per-job SSE stream. The
-// subscriber is registered before the current status is read, so the
-// snapshot event a client receives first is never newer than the
-// stream that follows — a late subscriber to a finished job gets the
-// terminal snapshot and the stream closes. Sequence-number gaps mean
-// the client was too slow and events were dropped (oldest first),
-// exactly as on the run-level /events stream.
+// events is GET /runs/{id}/events: the per-job SSE stream. It opens
+// with a snapshot of the job's status, read after the subscriber is
+// registered, so the snapshot is never newer than the stream that
+// follows; a late subscriber to a finished job gets the terminal
+// snapshot and the stream closes. The stream also closes after
+// job_finished. Sequence-number gaps mean the client was too slow and
+// events were dropped (oldest first), exactly as on /events.
 func (a *jobAPI) events(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	st, ok := a.mgr.Status(id)
-	if !ok {
+	if _, ok := a.mgr.Status(id); !ok {
 		http.Error(w, "unknown job", http.StatusNotFound)
 		return
 	}
-	fl, okf := w.(http.Flusher)
-	if !okf {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
-	hub := a.hub(id)
-	sub := hub.Subscribe()
-	defer hub.Unsubscribe(sub)
-
-	// Re-read under the subscription so no transition can fall between
-	// the snapshot and the stream.
-	st, _ = a.mgr.Status(id)
-
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	w.WriteHeader(http.StatusOK)
-	data, err := json.Marshal(st)
-	if err != nil {
-		return
-	}
-	fmt.Fprintf(w, "event: %s\ndata: %s\n\n", EventJobStatus, data)
-	fl.Flush()
-	if st.State.Terminal() {
-		return
-	}
-	for {
-		evs, ok := sub.Next(r.Context())
-		if !ok {
-			return
+	a.srv.stream(w, r, a.hub(id), func(w io.Writer) bool {
+		st, _ := a.mgr.Status(id)
+		data, err := json.Marshal(st)
+		if err != nil {
+			return false
 		}
-		finished := false
-		for _, ev := range evs {
-			data, err := marshalEvent(ev)
-			if err != nil {
-				a.srv.encodeFails.Inc()
-				continue
-			}
-			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-			if ev.Type == EventJobFinished {
-				finished = true
-			}
-		}
-		fl.Flush()
-		if finished {
-			return
-		}
-	}
+		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", EventJobStatus, data)
+		return !st.State.Terminal()
+	}, EventJobFinished)
 }

@@ -22,12 +22,10 @@ package serve
 
 import (
 	"fmt"
-	"net"
+	"log/slog"
 	"net/http"
 	httppprof "net/http/pprof"
 	"strconv"
-
-	"log/slog"
 
 	"github.com/moatlab/melody/internal/obs/hostprof"
 	"github.com/moatlab/melody/internal/obs/svclog"
@@ -41,10 +39,6 @@ func (s *Server) AttachProfiler(p *hostprof.Profiler) { s.prof = p }
 // Profiler returns the attached profiler (nil when profiling is off).
 func (s *Server) Profiler() *hostprof.Profiler { return s.prof }
 
-func (s *Server) noProfiles(w http.ResponseWriter, r *http.Request) {
-	http.Error(w, "host profiling not enabled on this observatory (start with -prof-interval)", http.StatusServiceUnavailable)
-}
-
 // profileList is GET /profiles.
 func (s *Server) profileList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
@@ -53,11 +47,9 @@ func (s *Server) profileList(w http.ResponseWriter, r *http.Request) {
 		Reason: q.Get("reason"),
 		JobID:  q.Get("job_id"),
 	}
-	limit, ok := limitParam(w, r)
-	if !ok {
+	if !queryNum(w, r, "limit", &f.Limit, 0, "a non-negative integer") {
 		return
 	}
-	f.Limit = max(limit, 0)
 	store := s.prof.Store()
 	writeJSON(w, map[string]any{
 		"profiles":   store.List(f),
@@ -94,13 +86,8 @@ func (s *Server) profileHeapDelta(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rows := 0
-	if v := q.Get("rows"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			http.Error(w, "bad rows: want a positive integer", http.StatusBadRequest)
-			return
-		}
-		rows = n
+	if !queryNum(w, r, "rows", &rows, 1, "a positive integer") {
+		return
 	}
 	load := func(id string) (*hostprof.Parsed, *hostprof.Capture, error) {
 		c, ok := s.prof.Store().Get(id)
@@ -139,15 +126,18 @@ func (s *Server) profileHeapDelta(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// mountDebugPprof wires the standard net/http/pprof handlers onto mux
-// through the RED middleware (one route label for the whole family, so
-// cardinality stays bounded).
-func (s *Server) mountDebugPprof(mux *http.ServeMux) {
-	mux.Handle("/debug/pprof/", s.wrap("/debug/pprof/", httppprof.Index))
-	mux.Handle("/debug/pprof/cmdline", s.wrap("/debug/pprof/", httppprof.Cmdline))
-	mux.Handle("/debug/pprof/profile", s.wrap("/debug/pprof/", httppprof.Profile))
-	mux.Handle("/debug/pprof/symbol", s.wrap("/debug/pprof/", httppprof.Symbol))
-	mux.Handle("/debug/pprof/trace", s.wrap("/debug/pprof/", httppprof.Trace))
+// pprofHandlers are the standard net/http/pprof handlers, served on
+// the observatory mux with Server.DebugPprof or on their own listener
+// with StartDebugPprof.
+var pprofHandlers = []struct {
+	path string
+	h    http.HandlerFunc
+}{
+	{"/debug/pprof/", httppprof.Index},
+	{"/debug/pprof/cmdline", httppprof.Cmdline},
+	{"/debug/pprof/profile", httppprof.Profile},
+	{"/debug/pprof/symbol", httppprof.Symbol},
+	{"/debug/pprof/trace", httppprof.Trace},
 }
 
 // StartDebugPprof serves the standard /debug/pprof/* handlers on their
@@ -157,25 +147,16 @@ func (s *Server) mountDebugPprof(mux *http.ServeMux) {
 // minutes into a run. Prefer Server.DebugPprof (same handlers on the
 // observatory mux) when an observatory is already listening.
 func StartDebugPprof(addr string, log *slog.Logger) (*Running, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, fmt.Errorf("pprof listener: %w", err)
-	}
 	if log == nil {
 		log = svclog.Discard()
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("/debug/pprof/", httppprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", httppprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", httppprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", httppprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", httppprof.Trace)
-	log.Info("pprof listening", "addr", ln.Addr().String())
-	srv := &http.Server{Handler: mux}
-	go func() {
-		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			log.Error("pprof listener failed", "addr", ln.Addr().String(), "err", err)
-		}
-	}()
-	return &Running{ln: ln, srv: srv}, nil
+	for _, p := range pprofHandlers {
+		mux.Handle(p.path, p.h)
+	}
+	run, err := listen(addr, "pprof", mux, log)
+	if err != nil {
+		return nil, fmt.Errorf("pprof listener: %w", err)
+	}
+	return run, nil
 }

@@ -54,10 +54,12 @@ package serve
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -193,11 +195,14 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /profiles/heapdelta", s.wrap("/profiles/heapdelta", s.profileHeapDelta))
 		mux.Handle("GET /profiles/{id}", s.wrap("/profiles/{id}", s.profileGet))
 	} else {
-		mux.Handle("/profiles", s.wrap("/profiles", s.noProfiles))
-		mux.Handle("/profiles/", s.wrap("/profiles", s.noProfiles))
+		s.unavailable(mux, "host profiling not enabled on this observatory (start with -prof-interval)",
+			"/profiles", "/profiles/")
 	}
 	if s.DebugPprof {
-		s.mountDebugPprof(mux)
+		// One route label for the whole family keeps cardinality bounded.
+		for _, p := range pprofHandlers {
+			mux.Handle(p.path, s.wrap("/debug/pprof/", p.h))
+		}
 	}
 	if s.jobs != nil {
 		mux.Handle("POST /runs", s.wrap("/runs", s.jobs.submit))
@@ -205,31 +210,33 @@ func (s *Server) Handler() http.Handler {
 		mux.Handle("GET /runs/{id}", s.wrap("/runs/{id}", s.jobs.status))
 		mux.Handle("GET /runs/{id}/manifest", s.wrap("/runs/{id}/manifest", s.jobs.manifest))
 		mux.Handle("GET /runs/{id}/events", s.wrap("/runs/{id}/events", s.jobs.events))
-	} else {
-		mux.Handle("/runs", s.wrap("/runs", s.noJobs))
-		mux.Handle("/runs/", s.wrap("/runs", s.noJobs))
-	}
-	if s.jobs != nil {
 		// /compare resolves operands through the job manager's run store,
 		// so it works with the in-memory store too; /baselines needs the
 		// durable ledger.
 		mux.Handle("GET /compare", s.wrap("/compare", s.compare))
 	} else {
-		mux.Handle("/compare", s.wrap("/compare", s.noJobs))
+		s.unavailable(mux, "job service not enabled on this observatory", "/runs", "/runs/", "/compare")
 	}
 	if s.ledger != nil && s.jobs != nil {
 		mux.Handle("GET /baselines", s.wrap("/baselines", s.baselineList))
 		mux.Handle("POST /baselines", s.wrap("/baselines", s.baselinePin))
 		mux.Handle("DELETE /baselines/{name}", s.wrap("/baselines/{name}", s.baselineUnpin))
 	} else {
-		mux.Handle("/baselines", s.wrap("/baselines", s.noLedger))
-		mux.Handle("/baselines/", s.wrap("/baselines", s.noLedger))
+		s.unavailable(mux, "run ledger not enabled on this observatory (start with -data-dir)",
+			"/baselines", "/baselines/")
 	}
 	return mux
 }
 
-func (s *Server) noJobs(w http.ResponseWriter, r *http.Request) {
-	http.Error(w, "job service not enabled on this observatory", http.StatusServiceUnavailable)
+// unavailable answers every pattern with 503 and msg, the hint for an
+// optional subsystem that is not attached. A subtree pattern ("/runs/")
+// shares its parent's route label.
+func (s *Server) unavailable(mux *http.ServeMux, msg string, patterns ...string) {
+	for _, p := range patterns {
+		mux.Handle(p, s.wrap(strings.TrimSuffix(p, "/"), func(w http.ResponseWriter, r *http.Request) {
+			http.Error(w, msg, http.StatusServiceUnavailable)
+		}))
+	}
 }
 
 func (s *Server) index(w http.ResponseWriter, r *http.Request) {
@@ -250,26 +257,22 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 	// 0.0.4, whose grammar has no exemplar clause.
 	format, contentType := prom.Negotiate(r.Header.Get("Accept"))
 	w.Header().Set("Content-Type", contentType)
-	// New's contract: a nil engine registry renders an empty engine
-	// section (the `melody serve` observatory has no process-wide
-	// engine registry; each job's lands in its manifest).
-	if s.registry != nil {
-		if err := prom.WriteFormat(w, EngineNamespace, s.registry.Export(), format); err != nil {
+	// Three sections. The engine registry: New's contract renders a nil
+	// one as an empty section (the `melody serve` observatory has no
+	// process-wide engine registry; each job's lands in its manifest).
+	// The cross-run regression families, also under the engine
+	// namespace: melody_regressions_total{baseline=…} is a statement
+	// about the experiment results, not the serving process; the
+	// registry renders nothing until a baseline diff has run. Last, the
+	// self-registry.
+	for _, sec := range []struct {
+		ns  string
+		reg *obs.Registry
+	}{{EngineNamespace, s.registry}, {EngineNamespace, s.crossreg}, {SelfNamespace, s.self}} {
+		if err := prom.WriteFormat(w, sec.ns, sec.reg.Export(), format); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-	}
-	// Cross-run regression families render under the engine namespace:
-	// melody_regressions_total{baseline=…} is a statement about the
-	// experiment results, not the serving process. The registry is empty
-	// (renders nothing) until a baseline diff has run.
-	if err := prom.WriteFormat(w, EngineNamespace, s.crossreg.Export(), format); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	if err := prom.WriteFormat(w, SelfNamespace, s.self.Export(), format); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
 	}
 	if format == prom.FormatOpenMetrics {
 		if err := prom.WriteEOF(w); err != nil {
@@ -304,58 +307,60 @@ func (s *Server) healthz(w http.ResponseWriter, r *http.Request) {
 // and answers 503 while draining so load balancers stop routing
 // submissions during shutdown. Without one it is statically ready.
 func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
-	if s.jobs == nil {
-		writeJSON(w, map[string]any{
-			"status":   "ready",
-			"jobs":     false,
-			"uptime_s": time.Since(s.start).Seconds(),
-			"build":    buildInfo(),
-		})
-		return
-	}
-	mgr := s.jobs.mgr
 	payload := map[string]any{
-		"jobs":        true,
-		"accepting":   mgr.Accepting(),
-		"queue_depth": mgr.QueueDepth(),
-		"queue_cap":   mgr.QueueCap(),
-		"uptime_s":    time.Since(s.start).Seconds(),
-		"build":       buildInfo(),
+		"status":   "ready",
+		"jobs":     s.jobs != nil,
+		"uptime_s": time.Since(s.start).Seconds(),
+		"build":    buildInfo(),
 	}
-	if mgr.Accepting() {
-		payload["status"] = "ready"
-		writeJSON(w, payload)
-		return
+	code := http.StatusOK
+	if s.jobs != nil {
+		mgr := s.jobs.mgr
+		accepting := mgr.Accepting()
+		payload["accepting"] = accepting
+		payload["queue_depth"] = mgr.QueueDepth()
+		payload["queue_cap"] = mgr.QueueCap()
+		if !accepting {
+			payload["status"], code = "draining", http.StatusServiceUnavailable
+		}
 	}
-	payload["status"] = "draining"
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusServiceUnavailable)
-	json.NewEncoder(w).Encode(payload)
+	writeJSONStatus(w, code, payload)
 }
 
-// events serves the SSE stream. Every event renders as
+// events serves the run-level SSE stream, opened by a comment line.
+func (s *Server) events(w http.ResponseWriter, r *http.Request) {
+	s.stream(w, r, s.hub, func(w io.Writer) bool {
+		fmt.Fprint(w, ": melody observatory event stream\n\n")
+		return true
+	}, "")
+}
+
+// stream serves hub as an SSE stream. Every event renders as
 //
 //	id: <seq>
 //	event: <type>
 //	data: <json>
 //
 // and sequence-number gaps tell the client exactly how many events its
-// slowness cost it.
-func (s *Server) events(w http.ResponseWriter, r *http.Request) {
+// slowness cost it. open writes the stream's first bytes once the
+// subscription exists, so nothing published after it can be missed; it
+// returns false to end the stream there. A non-empty last ends the
+// stream after an event of that type is written.
+func (s *Server) stream(w http.ResponseWriter, r *http.Request, hub *Hub, open func(io.Writer) bool, last string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	sub := s.hub.Subscribe()
-	defer s.hub.Unsubscribe(sub)
+	sub := hub.Subscribe()
+	defer hub.Unsubscribe(sub)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
 	w.WriteHeader(http.StatusOK)
-	fmt.Fprint(w, ": melody observatory event stream\n\n")
+	more := open(w)
 	fl.Flush()
-	for {
+	for more {
 		evs, ok := sub.Next(r.Context())
 		if !ok {
 			return
@@ -369,33 +374,52 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 				continue
 			}
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
+			if last != "" && ev.Type == last {
+				more = false
+			}
 		}
 		fl.Flush()
 	}
 }
 
-// limitParam reads the ?limit= filter shared by the list endpoints: -1
-// when absent. A bad value answers 400 and returns ok false.
-func limitParam(w http.ResponseWriter, r *http.Request) (limit int, ok bool) {
-	v := r.URL.Query().Get("limit")
+// queryNum reads the numeric query parameter key into dst, which keeps
+// its value when the parameter is absent. A value that does not parse
+// or is not at least min (NaN included) answers 400 "bad <key>: want
+// <want>" and returns false.
+func queryNum[T int | float64](w http.ResponseWriter, r *http.Request, key string, dst *T, min T, want string) bool {
+	v := r.URL.Query().Get(key)
 	if v == "" {
-		return -1, true
+		return true
 	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n < 0 {
-		http.Error(w, "bad limit: want a non-negative integer", http.StatusBadRequest)
-		return 0, false
+	var n T
+	var err error
+	switch p := any(&n).(type) {
+	case *int:
+		*p, err = strconv.Atoi(v)
+	case *float64:
+		*p, err = strconv.ParseFloat(v, 64)
 	}
-	return n, true
+	if err != nil || !(n >= min) {
+		http.Error(w, "bad "+key+": want "+want, http.StatusBadRequest)
+		return false
+	}
+	*dst = n
+	return true
 }
 
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(v); err != nil {
+func writeJSON(w http.ResponseWriter, v any) { writeJSONStatus(w, http.StatusOK, v) }
+
+// writeJSONStatus answers code with v as indented JSON. It encodes
+// before writing any header, so an encode error still answers 500.
+func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+	b, err := json.MarshalIndent(v, "", " ")
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(code)
+	w.Write(append(b, '\n'))
 }
 
 // Running is a started observatory server.
@@ -414,18 +438,24 @@ func (r *Running) Close() error { return r.srv.Close() }
 // Listening is synchronous so a bad address fails before the run
 // starts, mirroring the -pprof flag's fail-fast contract.
 func (s *Server) Start(addr string) (*Running, error) {
+	return listen(addr, "observatory", s.Handler(), s.log)
+}
+
+// listen binds addr synchronously and serves h in the background; name
+// prefixes its log lines.
+func listen(addr, name string, h http.Handler, log *slog.Logger) (*Running, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	s.log.Info("observatory listening", "addr", ln.Addr().String())
-	srv := &http.Server{Handler: s.Handler()}
+	log.Info(name+" listening", "addr", ln.Addr().String())
+	srv := &http.Server{Handler: h}
 	go func() {
 		if err := srv.Serve(ln); err != nil && err != http.ErrServerClosed {
-			// The observatory must never take the run down with it — but
-			// a dead listener must not be invisible either: the run
-			// would finish fine while every scrape silently failed.
-			s.log.Error("observatory listener failed", "addr", ln.Addr().String(), "err", err)
+			// A listener must never take the run down with it — but a
+			// dead one must not be invisible either: the run would
+			// finish fine while every scrape silently failed.
+			log.Error(name+" listener failed", "addr", ln.Addr().String(), "err", err)
 		}
 	}()
 	return &Running{ln: ln, srv: srv}, nil

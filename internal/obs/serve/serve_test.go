@@ -264,3 +264,31 @@ func TestStartBadAddressFailsFast(t *testing.T) {
 		t.Fatal("bad address accepted")
 	}
 }
+
+// TestQueryNumRange: a value below the minimum, or NaN, which parses as
+// a float but compares false with every bound, answers 400 rather than
+// reaching a filter or the regression gate.
+func TestQueryNumRange(t *testing.T) {
+	for _, c := range []struct {
+		query string
+		ok    bool
+		want  float64
+	}{
+		{"", true, 7},
+		{"x=0.05", true, 0.05},
+		{"x=0", true, 0},
+		{"x=-1", false, 7},
+		{"x=NaN", false, 7},
+		{"x=soon", false, 7},
+	} {
+		w := httptest.NewRecorder()
+		v := 7.0
+		ok := queryNum(w, httptest.NewRequest(http.MethodGet, "/?"+c.query, nil), "x", &v, 0, "a non-negative number")
+		if ok != c.ok || v != c.want {
+			t.Fatalf("%q: ok %v value %v, want %v %v", c.query, ok, v, c.ok, c.want)
+		}
+		if !ok && (w.Code != http.StatusBadRequest || !strings.HasPrefix(w.Body.String(), "bad x: want ")) {
+			t.Fatalf("%q: %d %q, want 400 bad x", c.query, w.Code, w.Body.String())
+		}
+	}
+}

@@ -17,7 +17,6 @@ package serve
 import (
 	"net/http"
 	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -27,14 +26,11 @@ import (
 func (s *Server) traceList(w http.ResponseWriter, r *http.Request) {
 	q := r.URL.Query()
 	var f tracespan.Filter
-	if v := q.Get("min_duration_s"); v != "" {
-		sec, err := strconv.ParseFloat(v, 64)
-		if err != nil || sec < 0 {
-			http.Error(w, "bad min_duration_s: want a non-negative number of seconds", http.StatusBadRequest)
-			return
-		}
-		f.MinDuration = time.Duration(sec * float64(time.Second))
+	var sec float64
+	if !queryNum(w, r, "min_duration_s", &sec, 0, "a non-negative number of seconds") {
+		return
 	}
+	f.MinDuration = time.Duration(sec * float64(time.Second))
 	switch v := q.Get("status"); v {
 	case "", tracespan.StatusOK, tracespan.StatusError:
 		f.Status = v
@@ -43,11 +39,9 @@ func (s *Server) traceList(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	f.SpecHash = q.Get("spec_hash")
-	limit, ok := limitParam(w, r)
-	if !ok {
+	if !queryNum(w, r, "limit", &f.Limit, 0, "a non-negative integer") {
 		return
 	}
-	f.Limit = max(limit, 0)
 	store := s.tracer.Store()
 	writeJSON(w, map[string]any{
 		"traces": store.List(f),
