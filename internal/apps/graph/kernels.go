@@ -24,9 +24,10 @@ type Workload struct {
 	// per-kernel property arrays in simulated memory
 	prop  vm.Object // 4B per node (dist / rank / comp / depth)
 	prop2 vm.Object // second array where the kernel needs one
-	// Go-side values for actual execution
-	vals  []uint32
-	vals2 []float32
+	// Go-side values for actual execution, nil for kernels that do not
+	// read them
+	vals  []uint32  // bfs, cc, sssp, bc
+	vals2 []float32 // pr, bc
 }
 
 // New builds a kernel workload. The graph is built (or fetched from the
@@ -47,8 +48,14 @@ func NewWithGraph(kernel string, g *Graph, seed uint64) *Workload {
 	arena := vm.New(16 << 30) // kernel-private arrays above the graph
 	w.prop = arena.Alloc("prop", uint64(g.N)*4)
 	w.prop2 = arena.Alloc("prop2", uint64(g.N)*4)
-	w.vals = make([]uint32, g.N)
-	w.vals2 = make([]float32, g.N)
+	switch kernel {
+	case "bfs", "cc", "sssp", "bc":
+		w.vals = make([]uint32, g.N)
+	}
+	switch kernel {
+	case "pr", "bc":
+		w.vals2 = make([]float32, g.N)
+	}
 	return w
 }
 

@@ -108,7 +108,8 @@ type Machine struct {
 	instr uint64
 	ctr   counters.Snapshot
 
-	pfBuf []uint64
+	pfBuf []uint64 // L1 streamer proposals being issued
+	l2Buf []uint64 // L2 streamer proposals
 
 	samples      []Sample
 	nextSampleNs float64
@@ -159,6 +160,7 @@ func (m *Machine) Reset(cfg Config) {
 		l2pfMax:    l2pfMax,
 		robRing:    m.robRing,
 		pfBuf:      m.pfBuf[:0],
+		l2Buf:      m.l2Buf[:0],
 	}
 	m.issueStep = m.nsPerCycle / float64(cpu.RetireWidth)
 	m.robWindow = float64(cpu.ROB) / float64(cpu.RetireWidth) * m.nsPerCycle
@@ -639,8 +641,13 @@ func (m *Machine) trainL2(addr uint64, t float64) {
 	if m.cfg.PrefetchersOff {
 		return
 	}
-	buf := m.l2pf.Observe(addr, m.pfBuf[:0])
-	for _, pf := range buf {
+	m.l2Buf = m.l2pf.Observe(addr, m.l2Buf[:0])
+	// Known defect, kept for byte identity: L2 proposals overwrite the
+	// L1 proposals runL1Prefetch has not issued yet, as when both
+	// streamers shared one buffer. Deleting this line fixes it and moves
+	// every result.
+	copy(m.pfBuf, m.l2Buf)
+	for _, pf := range m.l2Buf {
 		m.issueL2Prefetch(pf, t)
 	}
 }

@@ -133,6 +133,80 @@ func TestReusedMachineKeepsResults(t *testing.T) {
 	}
 }
 
+// TestMachinePoolSharedAcrossRunners runs a cell on one Engine, then
+// cells of other platforms, with prefetchers off and another seed, on
+// three Runners of other Engines drawing from the process-wide machine
+// pool at once (two of them on a platform that shares the first one's
+// CPU), then the first cell again on a new Engine. The machine it
+// reuses must give the first run's result, and no CPU may keep more
+// idle machines than a Runner has workers. Run with -race.
+func TestMachinePoolSharedAcrossRunners(t *testing.T) {
+	RegisterWorkloads()
+	ctx := context.Background()
+	// Pool keys no other test uses, so the idle counts are this test's.
+	emr := platform.EMR2S()
+	emr.CPU.Name = "EMR2S-pool-test"
+	sameCPU := platform.SPR2S()
+	sameCPU.CPU = emr.CPU
+	skx := platform.SKX2S()
+	skx.CPU.Name = "SKX2S-pool-test"
+	specs := testSubset(t, 8)[:3]
+	const workers = 2
+	runner := func(g *Engine, p platform.Platform) *Runner {
+		r := g.runner(p)
+		r.SampleIntervalNs = 10_000
+		return r
+	}
+	engine := func(seed uint64) *Engine {
+		g := NewEngine(Options{Instructions: 100_000, Warmup: 25_000, SampleEveryCycles: 20_000, Seed: seed})
+		g.Workers = workers
+		return g
+	}
+	idle := func(cpu platform.CPU) int {
+		machines.mu.Lock()
+		defer machines.mu.Unlock()
+		return len(machines.free[cpu])
+	}
+	x := []RunRequest{{Spec: specs[0], Config: CXL(emr, cxl.ProfileA())}}
+	runX := func() Result {
+		res := must(runner(engine(1), emr).RunAll(ctx, x))
+		if n := idle(emr.CPU); n < 1 || n > workers {
+			t.Fatalf("%d idle machines for %s after a cell, want 1..%d", n, emr.CPU.Name, workers)
+		}
+		return res[0]
+	}
+	first := runX()
+	if len(first.Samples) == 0 || len(first.Sampled) == 0 || len(first.Regions) == 0 {
+		t.Fatalf("cell has %d samples, %d sampled and %d regions; the test needs all three",
+			len(first.Samples), len(first.Sampled), len(first.Regions))
+	}
+
+	var wg sync.WaitGroup
+	for _, p := range []platform.Platform{sameCPU, sameCPU, skx} {
+		r := runner(engine(2), p)
+		r.PrefetchersOff = true
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := r.RunAll(ctx, Cells(specs, Local(p), CXL(p, cxl.ProfileB()))); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, cpu := range []platform.CPU{emr.CPU, skx.CPU} {
+		if n := idle(cpu); n > workers {
+			t.Errorf("%d idle machines for %s, want at most %d", n, cpu.Name, workers)
+		}
+	}
+
+	again := runX()
+	if !reflect.DeepEqual(first.Delta, again.Delta) || !reflect.DeepEqual(first.Samples, again.Samples) ||
+		!reflect.DeepEqual(first.Sampled, again.Sampled) || !reflect.DeepEqual(first.Regions, again.Regions) {
+		t.Fatal("a cell on a machine reused across Engines differs from its first run")
+	}
+}
+
 // TestCacheSingleflight asserts a cell is computed exactly once even
 // under heavy concurrent demand: 16 goroutines requesting the same cell
 // must trigger a single MemConfig.Build. Run with -race.

@@ -164,8 +164,7 @@ type Runner struct {
 	// costs a nil check per cell, nothing per simulated access.
 	Obs *Telemetry
 
-	cache    resultCache
-	machines machinePool
+	cache resultCache
 }
 
 // NewRunner returns a Runner with the defaults used across experiments.
@@ -396,8 +395,8 @@ func (r *Runner) runOnce(req RunRequest) Result {
 		cfg.Sampler = smp
 		cfg.SampleEveryCycles = r.SampleEveryCycles
 	}
-	m := r.machines.get()
-	defer r.machines.put(m, r.workers())
+	m := machines.get(cfg.CPU)
+	defer machines.put(cfg.CPU, m, r.workers())
 	m.Reset(cfg)
 	if syn, ok := w.(*workload.Synthetic); ok {
 		m.SetRegions(syn.Arena().Objects())
@@ -440,34 +439,43 @@ func (r *Runner) runOnce(req RunRequest) Result {
 	}
 }
 
-// machinePool keeps idle machines for the Runner's workers, so a cell
-// resets a machine instead of allocating one. Reset leaves a reused
-// machine in exactly the state of a new one, so reuse cannot change a
-// result.
+// machines keeps idle machines for every Runner in the process, so a
+// cell resets a machine whose cache set pools earlier cells (of any
+// Runner, Engine or service job) have already grown, instead of
+// growing new ones. Reset leaves a reused machine in exactly the state
+// of a new one, so reuse cannot change a result.
+var machines = machinePool{free: map[platform.CPU][]*core.Machine{}}
+
+// machinePool holds idle machines per CPU, so a reused machine keeps
+// its cache geometry. It keeps at most as many idle machines per CPU as
+// the returning Runner has workers, for the life of the process.
 type machinePool struct {
 	mu   sync.Mutex
-	free []*core.Machine
+	free map[platform.CPU][]*core.Machine
 }
 
-// get returns an idle machine, or a zero one to Reset.
-func (p *machinePool) get() *core.Machine {
+// get returns an idle machine for cpu, or a zero one to Reset.
+func (p *machinePool) get(cpu platform.CPU) *core.Machine {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	n := len(p.free)
+	free := p.free[cpu]
+	n := len(free)
 	if n == 0 {
 		return &core.Machine{}
 	}
-	m := p.free[n-1]
-	p.free = p.free[:n-1]
-	return m
+	p.free[cpu] = free[:n-1]
+	return free[n-1]
 }
 
-// put returns m to the pool, keeping at most limit idle machines.
-func (p *machinePool) put(m *core.Machine, limit int) {
+// put returns m, which ran a cell on cpu, to the pool, keeping at most
+// limit idle machines for cpu. m is first reset without a device, so an idle
+// machine holds no cell's device, sampler, samples or regions.
+func (p *machinePool) put(cpu platform.CPU, m *core.Machine, limit int) {
+	m.Reset(core.Config{CPU: cpu})
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.free) < limit {
-		p.free = append(p.free, m)
+	if len(p.free[cpu]) < limit {
+		p.free[cpu] = append(p.free[cpu], m)
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"github.com/moatlab/melody/internal/obs"
+	"github.com/moatlab/melody/internal/obs/tracespan"
 )
 
 func newTestServer(t *testing.T) (*Server, *httptest.Server, *obs.Registry) {
@@ -289,6 +290,38 @@ func TestQueryNumRange(t *testing.T) {
 		}
 		if !ok && (w.Code != http.StatusBadRequest || !strings.HasPrefix(w.Body.String(), "bad x: want ")) {
 			t.Fatalf("%q: %d %q, want 400 bad x", c.query, w.Code, w.Body.String())
+		}
+	}
+}
+
+// TestTracesMinDurationBeyondRange requires a min_duration_s past
+// time.Duration's range (~9.2e9 s) to list no trace: converted as is,
+// it wraps to a negative bound, which the store reads as no filter.
+func TestTracesMinDurationBeyondRange(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	doGet(t, ts.URL+"/healthz", nil)
+	for _, c := range []struct {
+		query string
+		want  int
+	}{
+		{"0", 1},
+		{"9e9", 0},
+		{"1e10", 0},
+		{"1e300", 0},
+		{"%2BInf", 0},
+	} {
+		body, resp := get(t, ts.URL+"/traces?min_duration_s="+c.query)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("min_duration_s=%s: %d %s", c.query, resp.StatusCode, body)
+		}
+		var list struct {
+			Traces []tracespan.TraceSummary `json:"traces"`
+		}
+		if err := json.Unmarshal([]byte(body), &list); err != nil {
+			t.Fatalf("min_duration_s=%s: %v\n%s", c.query, err, body)
+		}
+		if len(list.Traces) != c.want {
+			t.Errorf("min_duration_s=%s listed %d traces, want %d", c.query, len(list.Traces), c.want)
 		}
 	}
 }

@@ -15,6 +15,7 @@ package serve
 // stayed connected.
 
 import (
+	"math"
 	"net/http"
 	"runtime/debug"
 	"sync"
@@ -30,7 +31,12 @@ func (s *Server) traceList(w http.ResponseWriter, r *http.Request) {
 	if !queryNum(w, r, "min_duration_s", &sec, 0, "a non-negative number of seconds") {
 		return
 	}
-	f.MinDuration = time.Duration(sec * float64(time.Second))
+	// A bound past time.Duration's range would wrap negative and match
+	// every trace; the longest Duration matches none.
+	f.MinDuration = time.Duration(math.MaxInt64)
+	if ns := sec * float64(time.Second); ns < math.MaxInt64 {
+		f.MinDuration = time.Duration(ns)
+	}
 	switch v := q.Get("status"); v {
 	case "", tracespan.StatusOK, tracespan.StatusError:
 		f.Status = v

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/moatlab/melody/internal/mem"
+	"github.com/moatlab/melody/internal/sim"
 )
 
 func TestSequentialStreamDetected(t *testing.T) {
@@ -110,5 +111,41 @@ func TestResetForgets(t *testing.T) {
 	buf = s.Observe(base+8*mem.LineSize, buf[:0])
 	if len(buf) != 0 {
 		t.Fatal("proposals fired immediately after Reset (no retraining)")
+	}
+}
+
+// BenchmarkStreamerObserve times one Observe per op into a caller-owned
+// buffer, as the core model calls it, for both engine shapes. Seven in
+// ten accesses walk eight interleaved streams (forward, backward or
+// stride 2, each wrapping within 16 pages), the rest land on random
+// lines of a 256 MB region. It allocates nothing per op.
+func BenchmarkStreamerObserve(b *testing.B) {
+	r := sim.NewRand(1)
+	addrs := make([]uint64, 1<<16)
+	var pos [8]int64
+	for i := range addrs {
+		if r.Uint64n(10) >= 7 {
+			addrs[i] = r.Uint64n(256<<20) &^ (mem.LineSize - 1)
+			continue
+		}
+		s := r.Uint64n(8)
+		stride := []int64{1, -1, 2, 1}[s%4]
+		pos[s] += stride
+		line := int64(s+1)<<20 + pos[s]%(pageBytes/mem.LineSize*16)
+		addrs[i] = uint64(line) * mem.LineSize
+	}
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"L1", L1Config()}, {"L2", L2Config()}} {
+		b.Run(c.name, func(b *testing.B) {
+			s := New(c.cfg)
+			buf := make([]uint64, 0, c.cfg.Degree)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf = s.Observe(addrs[i&(len(addrs)-1)], buf[:0])
+			}
+		})
 	}
 }

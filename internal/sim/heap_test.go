@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -70,5 +71,37 @@ func TestNewTimeHeapAllFree(t *testing.T) {
 	}
 	if h.Min() != 0 {
 		t.Fatalf("Min = %v, want 0", h.Min())
+	}
+}
+
+// BenchmarkTimeHeap times the core model's queue pattern per op at
+// line-fill-buffer (16) and store-buffer (112) depths: pop every entry
+// done by now, pop the earliest when the queue is full, then push a
+// completion 50–550 ns out, with now advancing 1–8 ns per op.
+func BenchmarkTimeHeap(b *testing.B) {
+	r := NewRand(1)
+	lat := make([]float64, 1<<12)
+	for i := range lat {
+		lat[i] = 50 + float64(r.Uint64n(500))
+	}
+	for _, depth := range []int{16, 112} {
+		b.Run(fmt.Sprintf("depth=%d", depth), func(b *testing.B) {
+			h := NewTimeHeap(depth) // storage for a full queue
+			h.Reset()
+			var now float64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now += float64(1 + i&7)
+				for h.Len() > 0 && h.Min() <= now {
+					h.PopMin()
+				}
+				t := now
+				if h.Len() >= depth {
+					t = h.PopMin()
+				}
+				h.Push(t + lat[i&(len(lat)-1)])
+			}
+		})
 	}
 }
