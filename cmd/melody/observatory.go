@@ -51,10 +51,11 @@ func startObservatory(addr string, tel *melody.Telemetry, ids []string, log *slo
 	srv := serve.New(tel.Registry, func() any { return status.Snapshot() })
 	srv.SetLogger(log)
 	if tel.Trace != nil {
-		// Mirror completed request/queue/exec spans onto the run's
-		// Perfetto trace: service spans render as their own process row
-		// beside the engine (pid 1) and worker (pid 2) tracks.
+		// Mirror completed request spans onto the run's Perfetto trace:
+		// service spans render as their own process row beside the
+		// engine's run/experiment/cell tracks (pid 1).
 		srv.Tracer().SetMirror(tel.Trace, 3)
+		tel.Trace.SetProcessName(3, "service spans")
 	}
 	var prof *hostprof.Profiler
 	if profEvery > 0 {

@@ -48,11 +48,10 @@ func NewEngine(o Options) *Engine {
 func (g *Engine) Run(ctx context.Context, e Experiment) *Report {
 	RegisterWorkloads()
 	g.Obs.beginExperiment(e.ID)
-	sp := g.Obs.experimentSpan(e.ID, e.Title)
-	// A request-plane span mirrors the engine-plane one when the caller's
-	// ctx is traced (nil no-op otherwise): the experiment becomes a child
-	// of Execute's run span and the parent of the Runner's cell spans.
-	ctx, tsp := tracespan.Start(ctx, "experiment",
+	// The experiment span is a child of Execute's run span (or a root,
+	// with only a Trace attached) and the parent of the Runner's cell
+	// spans; untraced, it is a nil no-op.
+	ctx, sp := g.Obs.startSpan(ctx, "experiment",
 		tracespan.String("experiment", e.ID))
 	// The experiment id becomes a pprof label for the scope of this
 	// experiment — worker goroutines spawned by runAll inherit it, so a
@@ -64,7 +63,6 @@ func (g *Engine) Run(ctx context.Context, e Experiment) *Report {
 	pprof.Do(ctx, pprof.Labels("experiment", e.ID), func(ctx context.Context) {
 		rep = e.Run(g.context(ctx, e.ID))
 	})
-	tsp.End()
 	sp.End()
 	if g.Obs != nil {
 		g.Obs.Registry.Counter("engine/experiments_run").Inc()

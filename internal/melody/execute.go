@@ -115,10 +115,11 @@ func Execute(ctx context.Context, sp spec.RunSpec, h ExecHooks) (ExecOutcome, er
 	hash, hashErr := n.Hash()
 	// When the caller's ctx carries an active span (the job worker's
 	// exec span, or any traced entry point), the whole run becomes a
-	// child span and each experiment below it another — purely
-	// observational, like the log lines: with no span in ctx every
-	// tracespan call is a nil no-op and nothing here allocates.
-	ctx, runSpan := tracespan.Start(ctx, "run",
+	// child span and each experiment below it another; with only a
+	// Trace attached the run span is the root. Purely observational,
+	// like the log lines: with neither, every tracespan call is a nil
+	// no-op.
+	ctx, runSpan := h.Telemetry.startSpan(ctx, "run",
 		tracespan.String(svclog.KeySpecHash, hash),
 		tracespan.String("experiments", fmt.Sprint(len(exps))),
 	)

@@ -158,10 +158,10 @@ type Runner struct {
 	Workers int
 
 	// Obs, when set, collects engine telemetry: cache-outcome counters,
-	// per-cell wall times, per-config device latency histograms, and
-	// worker-occupancy trace spans. Observation is strictly passive —
-	// results are byte-identical with Obs set or nil — and a nil Obs
-	// costs a nil check per cell, nothing per simulated access.
+	// per-cell wall times and per-config device latency histograms.
+	// Observation is strictly passive — results are byte-identical with
+	// Obs set or nil — and a nil Obs costs a nil check per cell, nothing
+	// per simulated access.
 	Obs *Telemetry
 
 	cache resultCache
@@ -260,12 +260,12 @@ func (r *Runner) RunAll(ctx context.Context, reqs []RunRequest) ([]Result, error
 // at -j 1, on worker track 0) and stops feeding cells after the first
 // error; onDone (optional) observes completions for progress reporting.
 //
-// When ctx carries a request-plane span (a traced job submission), each
-// completed cell is additionally reported post-completion as a "cell"
-// child span, from the timestamps this loop already takes — the
-// simulated path below runCtx never sees the tracer, and with no span
-// in ctx the per-cell cost is one nil comparison (zero allocations,
-// benchmark-pinned in tracing_test.go).
+// When ctx carries a span (the experiment span of a traced job or of a
+// run with a Trace attached), each completed cell is reported
+// post-completion as a "cell" child span, from the timestamps this loop
+// already takes — the simulated path below runCtx never sees the
+// tracer, and with no span in ctx the per-cell cost is one nil
+// comparison (zero allocations, benchmark-pinned in tracing_test.go).
 func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) ([]Result, error) {
 	results := make([]Result, len(reqs))
 	parent := tracespan.SpanFrom(ctx)
@@ -290,7 +290,6 @@ func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) (
 				if failed.Load() {
 					continue
 				}
-				sp := r.Obs.cellSpan(worker, reqs[i])
 				var t0 time.Time
 				if parent != nil {
 					t0 = time.Now()
@@ -302,7 +301,6 @@ func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) (
 				}
 				// Spans record only cells that returned a result: a
 				// canceled cell was neither run nor served from cache.
-				endCellSpan(sp, oc)
 				cellChild(parent, worker, reqs[i], t0, oc)
 				results[i] = res
 				if onDone != nil {
@@ -325,10 +323,11 @@ func (r *Runner) runAll(ctx context.Context, reqs []RunRequest, onDone func()) (
 	return results, nil
 }
 
-// cellChild reports one completed cell as a child span of the request
-// trace. Recording is post-completion — the caller measured, then
-// reports — so the simulated hot path never interacts with the tracer;
-// a nil parent (untraced run) records nothing and allocates nothing.
+// cellChild reports one completed cell as a child span of parent, the
+// span ctx carried into runAll. Recording is post-completion — the
+// caller measured, then reports — so the simulated hot path never
+// interacts with the tracer; a nil parent (untraced run) records
+// nothing and allocates nothing.
 func cellChild(parent *tracespan.Span, worker int, req RunRequest, t0 time.Time, oc cacheOutcome) {
 	if parent == nil {
 		return

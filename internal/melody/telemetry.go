@@ -1,22 +1,23 @@
 package melody
 
 import (
+	"context"
 	"sort"
 	"sync"
 	"time"
 
 	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/obs/sampler"
+	"github.com/moatlab/melody/internal/obs/tracespan"
 )
 
-// Trace track layout: the engine's experiment phases render as one
-// process, the runner's worker pool as another (one track per worker,
-// showing occupancy over time). Sampled cells get one process each,
-// numbered upward from tracePidSamples, holding that cell's counter
-// tracks.
+// Trace track layout: the engine's run, experiment and cell spans
+// render as one process, with each cell on its worker's thread track
+// (the occupancy timeline) and run/experiment spans on track 0.
+// Sampled cells get one process each, numbered upward from
+// tracePidSamples, holding that cell's counter tracks.
 const (
 	tracePidEngine  = 1
-	tracePidWorkers = 2
 	tracePidSamples = 100
 )
 
@@ -32,17 +33,23 @@ type CellTiming struct {
 
 // Telemetry aggregates engine observability: a Registry of counters and
 // histograms (cache outcomes, per-cell wall times, per-config device
-// latency breakdowns), an optional Trace of spans (experiment phases,
-// worker occupancy), and the per-cell timing log. Attach one to an
-// Engine (or Runner) to enable collection; a nil *Telemetry disables
-// everything at the cost of a nil check.
+// latency breakdowns), an optional Trace, and the per-cell timing log.
+// Attach one to an Engine (or Runner) to enable collection; a nil
+// *Telemetry disables everything at the cost of a nil check.
+//
+// Spans are recorded by tracespan alone. When the caller's ctx carries
+// a span, the run, experiment and cell spans join its trace; otherwise,
+// with a Trace set, they root on a store-less tracer owned by the
+// Telemetry whose mirror writes them into the Trace, next to the
+// sampled counter tracks.
 //
 // Telemetry observes the engine, it never steers it: results — and the
 // reports rendered from them — are byte-identical with and without a
 // Telemetry attached, which TestTelemetryDoesNotPerturbReport pins.
 type Telemetry struct {
 	Registry *obs.Registry
-	// Trace, when non-nil, records spans. Set it before running.
+	// Trace, when non-nil, receives the engine's spans and the sampled
+	// counter tracks as Chrome trace events. Set it before running.
 	Trace *obs.Trace
 
 	cacheMiss    *obs.Counter
@@ -51,6 +58,9 @@ type Telemetry struct {
 	cellsRun     *obs.Counter
 	cellsSampled *obs.Counter
 	cellWall     *obs.Histogram
+
+	tracerOnce sync.Once
+	tracer     *tracespan.Tracer // mirror-only root for untraced ctxs
 
 	mu      sync.Mutex
 	exp     string // current experiment id (engine-stamped)
@@ -231,34 +241,18 @@ func (t *Telemetry) beginExperiment(id string) {
 	t.mu.Unlock()
 }
 
-// cellSpan opens a trace span on the worker's track covering one cell
-// submission (compute, cache hit, or wait on another worker's compute).
-func (t *Telemetry) cellSpan(worker int, req RunRequest) obs.Span {
-	if t == nil || t.Trace == nil {
-		return obs.Span{}
+// startSpan opens a span named name: a child of ctx's span when ctx
+// carries one, else — with a Trace set — a root on the Telemetry's
+// mirror-only tracer. With neither it returns (ctx, nil), a nil span
+// whose methods no-op.
+func (t *Telemetry) startSpan(ctx context.Context, name string, attrs ...tracespan.Attr) (context.Context, *tracespan.Span) {
+	if t == nil || t.Trace == nil || tracespan.SpanFrom(ctx) != nil {
+		return tracespan.Start(ctx, name, attrs...)
 	}
-	t.Trace.SetProcessName(tracePidWorkers, "runner workers")
-	t.Trace.SetThreadName(tracePidWorkers, worker, "worker")
-	return t.Trace.Begin(tracePidWorkers, worker, req.Spec.Name+" @ "+req.Config.Name, "cell")
-}
-
-// endCellSpan completes a cell span, attaching the cache outcome. The
-// inactive (telemetry-off) path builds no args and allocates nothing.
-func endCellSpan(sp obs.Span, oc cacheOutcome) {
-	if !sp.Active() {
-		return
-	}
-	sp.EndWith(map[string]any{"outcome": oc.String()})
-}
-
-// experimentSpan opens a trace span covering one experiment phase.
-func (t *Telemetry) experimentSpan(id, title string) obs.Span {
-	if t == nil || t.Trace == nil {
-		return obs.Span{}
-	}
-	t.Trace.SetProcessName(tracePidEngine, "melody engine")
-	t.Trace.SetThreadName(tracePidEngine, 0, "experiments")
-	sp := t.Trace.Begin(tracePidEngine, 0, id, "experiment")
-	t.Trace.Instant(tracePidEngine, 0, title, "experiment", nil)
-	return sp
+	t.tracerOnce.Do(func() {
+		t.tracer = tracespan.NewTracer(nil)
+		t.tracer.SetMirror(t.Trace, tracePidEngine)
+		t.Trace.SetProcessName(tracePidEngine, "melody engine")
+	})
+	return t.tracer.StartRoot(ctx, name, tracespan.SpanContext{}, attrs...)
 }

@@ -85,7 +85,11 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 // TestCanceledCellsLeaveNoSpans pins that only a cell that returned a
 // result is traced, on the engine trace and on the request trace alike:
 // RunAll under a canceled context runs no cell and records no cell span,
-// at -j 1 and at -j 2.
+// at -j 1 and at -j 2. The engine trace is checked on both paths a cell
+// span can take into it: a ctx carrying a request span (whose tracer
+// has no mirror, so the Perfetto file stays empty) and a ctx carrying
+// none, where the engine roots its own spans and mirrors them into
+// Telemetry.Trace.
 func TestCanceledCellsLeaveNoSpans(t *testing.T) {
 	emr := platform.EMR2S()
 	reqs := Cells(testSubset(t, 8)[:3], Local(emr), NUMA(emr))
@@ -104,17 +108,7 @@ func TestCanceledCellsLeaveNoSpans(t *testing.T) {
 		}
 		root.End()
 
-		raw, err := json.Marshal(tel.Trace)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var trace struct {
-			TraceEvents []obs.Event `json:"traceEvents"`
-		}
-		if err := json.Unmarshal(raw, &trace); err != nil {
-			t.Fatal(err)
-		}
-		for _, ev := range trace.TraceEvents {
+		for _, ev := range traceEvents(t, tel.Trace) {
 			if ev.Cat == "cell" {
 				t.Fatalf("-j %d: canceled cell traced: %+v", workers, ev)
 			}
@@ -128,7 +122,56 @@ func TestCanceledCellsLeaveNoSpans(t *testing.T) {
 		if n := tel.Registry.Snapshot().Counters["runner/cells_run"]; n != 0 {
 			t.Fatalf("-j %d: cells_run = %d, want 0", workers, n)
 		}
+
+		// No span in ctx, only a Trace: the engine's experiment span
+		// roots on the Telemetry's tracer and parents the cells.
+		tel = NewTelemetry()
+		tel.Trace = obs.NewTrace()
+		eng := NewEngine(Options{Instructions: r.Instructions, Warmup: r.Warmup})
+		eng.Workers = workers
+		eng.Obs = tel
+		ctx, cancel = context.WithCancel(context.Background())
+		cancel()
+		eng.Run(ctx, Experiment{ID: "canceled", Run: func(ec *ExperimentContext) *Report {
+			if err := ec.Declare(ec.Runner(emr), reqs); err == nil {
+				t.Errorf("-j %d: Declare under a canceled context returned no error", workers)
+			}
+			return &Report{}
+		}})
+		experiments := 0
+		for _, ev := range traceEvents(t, tel.Trace) {
+			if ev.Cat == "cell" {
+				t.Fatalf("-j %d, no request span: canceled cell traced: %+v", workers, ev)
+			}
+			if ev.Ph == "X" && ev.Cat == "experiment" {
+				experiments++
+			}
+		}
+		// Without the experiment span in the trace, the cell check above
+		// would pass whether or not cells are recorded.
+		if experiments != 1 {
+			t.Fatalf("-j %d, no request span: %d experiment events, want 1", workers, experiments)
+		}
+		if n := tel.Registry.Snapshot().Counters["runner/cells_run"]; n != 0 {
+			t.Fatalf("-j %d, no request span: cells_run = %d, want 0", workers, n)
+		}
 	}
+}
+
+// traceEvents decodes tr's Chrome trace-event JSON.
+func traceEvents(t *testing.T, tr *obs.Trace) []obs.Event {
+	t.Helper()
+	raw, err := json.Marshal(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var f struct {
+		TraceEvents []obs.Event `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		t.Fatal(err)
+	}
+	return f.TraceEvents
 }
 
 // TestTelemetryCacheOutcomes pins the cache-outcome counters: a repeated
@@ -196,8 +239,8 @@ func TestNilTelemetryIsInert(t *testing.T) {
 	if tel.Cells() != nil {
 		t.Fatal("nil telemetry returned cells")
 	}
-	sp := tel.cellSpan(0, RunRequest{})
-	endCellSpan(sp, cacheHit)
-	sp2 := tel.experimentSpan("x", "y")
-	sp2.End()
+	ctx := context.Background()
+	if got, sp := tel.startSpan(ctx, "experiment"); got != ctx || sp != nil {
+		t.Fatal("nil telemetry opened a span")
+	}
 }

@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"sort"
+	"strconv"
 	"testing"
 	"time"
 
 	"github.com/moatlab/melody/internal/melody/spec"
+	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/obs/tracespan"
 	"github.com/moatlab/melody/internal/workload"
 )
@@ -132,6 +135,93 @@ func TestManifestParityTracingOnOff(t *testing.T) {
 	}
 	if bytes.Contains(plain, []byte("trace_id")) {
 		t.Fatal("manifest leaked trace ids")
+	}
+}
+
+// TestTraceExportLayout pins the Perfetto file of a -j 2 run with a
+// Trace attached and no span in ctx: the engine roots its own run →
+// experiment → cell spans, and the trace is their export. Each
+// experiment is one "experiment" event; each cell that returned a
+// result is one "cell" event on its worker's track, carrying the cell's
+// attributes, never overlapping another cell on that track, and lying
+// inside an experiment's interval. The root span must not leak into
+// results: the manifest is byte-identical with the Trace set or unset.
+func TestTraceExportLayout(t *testing.T) {
+	sp := tracingSpec()
+	sp.Experiments = []string{"fig8f", "fig8c"}
+	run := func(trace *obs.Trace) (*Telemetry, []byte) {
+		tel := NewTelemetry()
+		tel.Trace = trace
+		out, err := Execute(context.Background(), sp, ExecHooks{Telemetry: tel})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := *out.Manifest
+		m.StripHostTime()
+		raw, err := EncodeManifest(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tel, raw
+	}
+	_, plain := run(nil)
+	tel, traced := run(obs.NewTrace())
+	if !bytes.Equal(plain, traced) {
+		t.Fatal("manifest differs with a Trace attached")
+	}
+
+	experiments := map[string]obs.Event{}
+	var cells []obs.Event
+	for _, ev := range traceEvents(t, tel.Trace) {
+		if ev.Ph != "X" {
+			continue
+		}
+		switch ev.Cat {
+		case "experiment":
+			id, _ := ev.Args["experiment"].(string)
+			if _, dup := experiments[id]; dup {
+				t.Fatalf("experiment %q traced twice", id)
+			}
+			experiments[id] = ev
+		case "cell":
+			cells = append(cells, ev)
+		}
+	}
+	if len(experiments) != len(sp.Experiments) {
+		t.Fatalf("%d experiment events, want %d: %v", len(experiments), len(sp.Experiments), experiments)
+	}
+	// fig8f and fig8c submit every cell through runAll, so each cache
+	// lookup is one cell that returned a result.
+	c := tel.CacheStats()
+	if want := int(c.Hits + c.Misses + c.Waits); len(cells) != want {
+		t.Fatalf("%d cell events, want %d", len(cells), want)
+	}
+	const eps = 1e-3 // µs: float rounding of back-to-back stamps
+	ends := map[int]float64{}
+	sort.Slice(cells, func(i, j int) bool { return cells[i].Ts < cells[j].Ts })
+	for _, ev := range cells {
+		for _, k := range []string{"workload", "config", "outcome", "worker"} {
+			if v, _ := ev.Args[k].(string); v == "" {
+				t.Fatalf("cell event missing %q: %+v", k, ev.Args)
+			}
+		}
+		if w := ev.Args["worker"].(string); w != strconv.Itoa(ev.Tid) {
+			t.Fatalf("cell of worker %s on track %d", w, ev.Tid)
+		}
+		if ev.Tid < 0 || ev.Tid >= sp.Workers {
+			t.Fatalf("cell on track %d at -j %d", ev.Tid, sp.Workers)
+		}
+		if end, ok := ends[ev.Tid]; ok && ev.Ts < end-eps {
+			t.Fatalf("cells overlap on track %d: one starts at %.3f µs, the previous ends at %.3f µs", ev.Tid, ev.Ts, end)
+		}
+		ends[ev.Tid] = ev.Ts + ev.Dur
+		inside := false
+		for _, e := range experiments {
+			inside = inside || (ev.Ts >= e.Ts-eps && ev.Ts+ev.Dur <= e.Ts+e.Dur+eps)
+		}
+		if !inside {
+			t.Fatalf("cell event outside every experiment: %+v", ev)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"maps"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -137,23 +138,7 @@ func (r *Registry) Snapshot() Snapshot {
 		Gauges:     map[string]float64{},
 		Histograms: map[string]Summary{},
 	}
-	if r == nil {
-		return s
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
+	counters, gauges, hists := r.instruments()
 	for k, v := range counters {
 		s.Counters[k] = v.Value()
 	}
@@ -164,6 +149,19 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[k] = v.Summarize()
 	}
 	return s
+}
+
+// instruments copies the instrument maps under the registry lock, so
+// the read views (Snapshot, Export) then read values from the
+// instruments' own atomics and locks without holding the registry's.
+// A nil registry has no instruments.
+func (r *Registry) instruments() (map[string]*Counter, map[string]*Gauge, map[string]*Histogram) {
+	if r == nil {
+		return nil, nil, nil
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists)
 }
 
 // MarshalJSON dumps the registry as a Snapshot.
@@ -192,23 +190,7 @@ func (r *Registry) Export() Export {
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramExport{},
 	}
-	if r == nil {
-		return ex
-	}
-	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	r.mu.Unlock()
+	counters, gauges, hists := r.instruments()
 	for k, v := range counters {
 		ex.Counters[k] = v.Value()
 	}

@@ -152,7 +152,8 @@ func New(registry *obs.Registry, progress func() any) *Server {
 // Tracer returns the server's span tracer. The serve middleware roots
 // every request's trace here; AttachJobs hands it to the job manager so
 // queue/exec spans land in the same store; cmd wiring may SetMirror it
-// onto the run's obs.Trace for a combined Perfetto view.
+// onto the run's obs.Trace, which the engine's own spans also feed, for
+// a combined Perfetto view.
 func (s *Server) Tracer() *tracespan.Tracer { return s.tracer }
 
 // TraceStore returns the bounded span store behind /traces.

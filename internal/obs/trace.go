@@ -8,25 +8,27 @@ import (
 	"time"
 )
 
-// Trace records wall-clock spans and instants in the Chrome trace-event
-// format (the JSON-object flavour: {"traceEvents": [...]}), which loads
-// directly in Perfetto (ui.perfetto.dev) and chrome://tracing. All
-// methods are safe for concurrent use, and every method on a nil *Trace
-// is a no-op, so call sites record unconditionally.
+// Trace is a sink for completed wall-clock spans and counter samples,
+// rendered in the Chrome trace-event format (the JSON-object flavour:
+// {"traceEvents": [...]}), which loads directly in Perfetto
+// (ui.perfetto.dev) and chrome://tracing. It has no live spans: spans
+// are recorded by tracespan, whose tracer mirror hands each completed
+// one to CompleteAt, and the sampler adds counter tracks via CounterAt.
+// All methods are safe for concurrent use, and every method on a nil
+// *Trace is a no-op, so call sites record unconditionally.
 //
 // Timestamps are microseconds of wall time since the trace was created.
 // Traces observe the engine, not the simulation: simulated nanoseconds
 // never appear here, and recording never feeds back into results.
 type Trace struct {
-	mu      sync.Mutex
-	t0      time.Time
-	events  []Event
-	procs   map[int]string
-	threads map[[2]int]string
+	mu     sync.Mutex
+	t0     time.Time
+	events []Event
+	procs  map[int]string
 }
 
 // Event is one Chrome trace event. Ph "X" is a complete span (Ts+Dur),
-// "i" an instant, "M" metadata (process/thread names).
+// "C" a counter sample, "M" metadata (process names).
 type Event struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
@@ -40,16 +42,7 @@ type Event struct {
 
 // NewTrace returns a trace whose timestamps count from now.
 func NewTrace() *Trace {
-	return &Trace{
-		t0:      time.Now(),
-		procs:   map[int]string{},
-		threads: map[[2]int]string{},
-	}
-}
-
-// sinceUs returns the current trace timestamp in microseconds.
-func (t *Trace) sinceUs() float64 {
-	return float64(time.Since(t.t0)) / float64(time.Microsecond)
+	return &Trace{t0: time.Now(), procs: map[int]string{}}
 }
 
 func (t *Trace) add(e Event) {
@@ -68,61 +61,14 @@ func (t *Trace) SetProcessName(pid int, name string) {
 	t.mu.Unlock()
 }
 
-// SetThreadName names a (pid, tid) track. Idempotent.
-func (t *Trace) SetThreadName(pid, tid int, name string) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.threads[[2]int{pid, tid}] = name
-	t.mu.Unlock()
-}
-
-// Span is an in-progress interval started by Begin. The zero value
-// (from a nil trace) ends as a no-op.
-type Span struct {
-	t     *Trace
-	pid   int
-	tid   int
-	name  string
-	cat   string
-	start float64
-}
-
-// Begin starts a span on the (pid, tid) track.
-func (t *Trace) Begin(pid, tid int, name, cat string) Span {
-	if t == nil {
-		return Span{}
-	}
-	return Span{t: t, pid: pid, tid: tid, name: name, cat: cat, start: t.sinceUs()}
-}
-
-// Active reports whether the span records anywhere — false for spans
-// from a nil trace, letting callers skip building args.
-func (s Span) Active() bool { return s.t != nil }
-
-// End completes the span.
-func (s Span) End() { s.EndWith(nil) }
-
-// EndWith completes the span with event args (shown in the Perfetto
-// detail pane).
-func (s Span) EndWith(args map[string]any) {
-	if s.t == nil {
-		return
-	}
-	end := s.t.sinceUs()
-	s.t.add(Event{Name: s.name, Cat: s.cat, Ph: "X", Ts: s.start,
-		Dur: end - s.start, Pid: s.pid, Tid: s.tid, Args: args})
-}
-
 // CompleteAt records an already-completed span with explicit
 // wall-clock bounds, placed in the trace's timestamp space via the
-// same clock StampUs uses. It is the bridge for span sources that
-// measure elsewhere and report afterwards — the service-plane
-// tracespan mirror renders request/queue/exec/cell spans here so they
-// line up with the engine's worker and sample tracks in one Perfetto
-// view. Spans that began before the trace did get negative timestamps,
-// which Perfetto renders fine.
+// same clock StampUs uses. It is the only way spans enter a trace:
+// tracespan's tracer mirror renders every completed span here, so the
+// engine's run/experiment/cell spans and the service plane's request
+// spans line up with the sampler's counter tracks in one Perfetto view.
+// Spans that began before the trace did get negative timestamps, which
+// Perfetto renders fine.
 func (t *Trace) CompleteAt(pid, tid int, name, cat string, start, end time.Time, args map[string]any) {
 	if t == nil {
 		return
@@ -135,9 +81,9 @@ func (t *Trace) CompleteAt(pid, tid int, name, cat string, start, end time.Time,
 // CounterAt records a counter-track sample at an explicit trace
 // timestamp (microseconds since trace start). Chrome "C" events render
 // in Perfetto as per-process counter tracks: each distinct name under a
-// pid becomes its own plotted series. Unlike spans and instants, the
-// caller supplies the timestamp — counter samples describe simulated
-// time mapped into the trace's clock, not the moment of recording.
+// pid becomes its own plotted series. The timestamp is not a wall-clock
+// instant: counter samples describe simulated time mapped into the
+// trace's clock, not the moment of recording.
 func (t *Trace) CounterAt(pid int, name string, tsUs, value float64) {
 	if t == nil {
 		return
@@ -154,14 +100,6 @@ func (t *Trace) StampUs(at time.Time) float64 {
 		return 0
 	}
 	return float64(at.Sub(t.t0)) / float64(time.Microsecond)
-}
-
-// Instant records a point event on the (pid, tid) track.
-func (t *Trace) Instant(pid, tid int, name, cat string, args map[string]any) {
-	if t == nil {
-		return
-	}
-	t.add(Event{Name: name, Cat: cat, Ph: "i", Ts: t.sinceUs(), Pid: pid, Tid: tid, Args: args})
 }
 
 // Len returns the number of recorded events (metadata excluded).
@@ -197,20 +135,6 @@ func (t *Trace) snapshot() tracePayload {
 	for _, pid := range pids {
 		p.TraceEvents = append(p.TraceEvents, Event{Name: "process_name", Ph: "M",
 			Pid: pid, Args: map[string]any{"name": t.procs[pid]}})
-	}
-	keys := make([][2]int, 0, len(t.threads))
-	for k := range t.threads {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, k := range keys {
-		p.TraceEvents = append(p.TraceEvents, Event{Name: "thread_name", Ph: "M",
-			Pid: k[0], Tid: k[1], Args: map[string]any{"name": t.threads[k]}})
 	}
 	p.TraceEvents = append(p.TraceEvents, t.events...)
 	return p

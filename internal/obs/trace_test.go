@@ -3,6 +3,8 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"slices"
 	"testing"
 	"time"
 )
@@ -47,8 +49,8 @@ func validateChromeTrace(t *testing.T, raw []byte) chromeTraceFile {
 			if e.Ts == nil || *e.Ts < 0 || e.Dur < 0 {
 				t.Fatalf("complete event %d has invalid ts/dur", i)
 			}
-		case "i", "M":
-			// instants carry ts; metadata events need name+args only
+		case "M":
+			// metadata events need name+args only
 		case "C":
 			// counter-track samples: explicit ts plus a numeric value arg.
 			if e.Ts == nil || *e.Ts < 0 {
@@ -74,24 +76,26 @@ func validateChromeTrace(t *testing.T, raw []byte) chromeTraceFile {
 
 func TestTraceSchemaValid(t *testing.T) {
 	tr := NewTrace()
-	tr.SetProcessName(1, "engine")
-	tr.SetThreadName(1, 0, "experiments")
-	tr.SetProcessName(2, "workers")
-	tr.SetThreadName(2, 3, "worker")
-	sp := tr.Begin(1, 0, "fig8a", "experiment")
-	inner := tr.Begin(2, 3, "605.mcf_s @ CXL-A", "cell")
-	inner.EndWith(map[string]any{"outcome": "computed"})
-	tr.Instant(1, 0, "marker", "note", nil)
-	sp.End()
+	tr.SetProcessName(1, "melody engine")
+	tr.SetProcessName(100, "samples: 605.mcf_s @ CXL-A")
+	t0 := time.Now()
+	tr.CompleteAt(1, 3, "cell", "cell", t0, t0.Add(2*time.Millisecond),
+		map[string]any{"outcome": "computed", "worker": "3"})
+	tr.CompleteAt(1, 0, "experiment", "experiment", t0, t0.Add(5*time.Millisecond),
+		map[string]any{"experiment": "fig8a"})
+	tr.CounterAt(100, "spa/BoundOnLoads", tr.StampUs(t0), 4200)
 
 	raw, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := validateChromeTrace(t, raw)
-	// 4 metadata + 2 spans + 1 instant.
-	if len(f.TraceEvents) != 7 {
-		t.Fatalf("trace has %d events, want 7", len(f.TraceEvents))
+	// 2 metadata + 2 spans + 1 counter sample.
+	if len(f.TraceEvents) != 5 {
+		t.Fatalf("trace has %d events, want 5", len(f.TraceEvents))
+	}
+	if d := f.TraceEvents[3].Dur; d < 4999 || d > 5001 {
+		t.Fatalf("experiment span lasts %v µs, want 5000", d)
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteJSON(&buf); err != nil {
@@ -139,38 +143,50 @@ func TestTraceCounterTrackSchema(t *testing.T) {
 
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
-	sp := tr.Begin(0, 0, "x", "y")
-	if sp.Active() {
-		t.Fatal("span from nil trace is active")
-	}
-	sp.End()
-	sp.EndWith(map[string]any{"k": "v"})
-	tr.Instant(0, 0, "i", "", nil)
+	now := time.Now()
+	tr.CompleteAt(0, 0, "x", "y", now, now, map[string]any{"k": "v"})
 	tr.CounterAt(0, "c", 1, 2)
-	if tr.StampUs(time.Now()) != 0 {
+	if tr.StampUs(now) != 0 {
 		t.Fatal("nil trace stamped nonzero")
 	}
 	tr.SetProcessName(0, "p")
-	tr.SetThreadName(0, 0, "t")
 	if tr.Len() != 0 {
 		t.Fatal("nil trace recorded events")
 	}
+	var buf bytes.Buffer
+	if err := tr.WriteJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if f := validateChromeTrace(t, buf.Bytes()); len(f.TraceEvents) != 0 {
+		t.Fatalf("nil trace marshals %d events", len(f.TraceEvents))
+	}
 }
 
+// TestTraceSpanOrdering pins the emitted order: process names first,
+// sorted by pid, then events in recording order, whatever their
+// timestamps.
 func TestTraceSpanOrdering(t *testing.T) {
 	tr := NewTrace()
-	sp := tr.Begin(1, 1, "work", "")
-	sp.End()
+	tr.SetProcessName(2, "second")
+	tr.SetProcessName(1, "first")
+	t0 := time.Now()
+	tr.CompleteAt(1, 1, "late", "", t0.Add(time.Millisecond), t0.Add(2*time.Millisecond), nil)
+	tr.CounterAt(2, "c", 0, 1)
+	tr.CompleteAt(2, 0, "early", "", t0, t0.Add(time.Millisecond), nil)
 	raw, err := json.Marshal(tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f := validateChromeTrace(t, raw)
-	if len(f.TraceEvents) != 1 {
-		t.Fatalf("got %d events", len(f.TraceEvents))
+	var got []string
+	for _, e := range f.TraceEvents {
+		got = append(got, fmt.Sprintf("%s/%s@%d.%d", e.Ph, e.Name, *e.Pid, *e.Tid))
 	}
-	e := f.TraceEvents[0]
-	if e.Ph != "X" || e.Name != "work" || *e.Pid != 1 || *e.Tid != 1 {
-		t.Fatalf("span event wrong: %+v", e)
+	want := []string{"M/process_name@1.0", "M/process_name@2.0", "X/late@1.1", "C/c@2.0", "X/early@2.0"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("event order %v, want %v", got, want)
+	}
+	if *f.TraceEvents[2].Ts <= *f.TraceEvents[4].Ts {
+		t.Fatal("later span stamped no later than the earlier one")
 	}
 }

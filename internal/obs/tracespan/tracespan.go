@@ -1,11 +1,12 @@
-// Package tracespan is the service plane's distributed-tracing spine:
-// a stdlib-only Span/Tracer API with W3C traceparent propagation, a
-// context-carried parent chain, and a bounded in-memory trace store
-// (store.go) queryable over the observatory's /traces endpoints.
+// Package tracespan is melody's one span recorder: a stdlib-only
+// Span/Tracer API with W3C traceparent propagation, a context-carried
+// parent chain, and a bounded in-memory trace store (store.go)
+// queryable over the observatory's /traces endpoints. Perfetto's
+// -trace file is an export of the same spans: a tracer with a mirror
+// renders each completed span into an obs.Trace, which adds nothing
+// of its own but the sampler's counter tracks.
 //
-// Where obs.Trace records the *engine's* wall-clock activity for
-// Perfetto, tracespan records the *request's* causal path: one HTTP
-// exchange yields one trace whose span tree threads
+// One HTTP exchange yields one trace whose span tree threads
 //
 //	http → queue → exec → run → experiment → cell
 //
@@ -14,7 +15,9 @@
 // each request, survives the queue hand-off, and is the join key
 // everywhere else: the access log's trace_id field, the X-Trace-Id
 // response header, and the OpenMetrics exemplars on the RED latency
-// histograms — alert → bucket → trace → cell, four clicks.
+// histograms — alert → bucket → trace → cell, four clicks. A run with
+// no request span but a -trace file roots run → experiment → cell on
+// a store-less tracer that only mirrors.
 //
 // Tracing is strictly observational and strictly optional. The
 // disabled path is allocation-free: SpanFrom on a span-less context
@@ -32,6 +35,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -170,9 +174,8 @@ func (sd SpanData) Attr(key string) string {
 	return ""
 }
 
-// Tracer mints spans and delivers completed ones to its Store (and,
-// when a mirror is set, to an obs.Trace so service spans and
-// simulated-time tracks open in one Perfetto UI). A nil *Tracer is
+// Tracer mints spans and delivers completed ones to its Store, and,
+// when a mirror is set, to an obs.Trace for Perfetto. A nil *Tracer is
 // fully inert.
 type Tracer struct {
 	store *Store
@@ -182,13 +185,14 @@ type Tracer struct {
 	mirrorPid int
 }
 
-// NewTracer returns a tracer recording into store (which must be
-// non-nil).
+// NewTracer returns a tracer recording into store. A nil store makes a
+// mirror-only tracer: its spans reach nothing until SetMirror names a
+// trace to render them into.
 func NewTracer(store *Store) *Tracer {
 	return &Tracer{store: store}
 }
 
-// Store returns the tracer's span store.
+// Store returns the tracer's span store (nil for a mirror-only tracer).
 func (t *Tracer) Store() *Store {
 	if t == nil {
 		return nil
@@ -197,9 +201,10 @@ func (t *Tracer) Store() *Store {
 }
 
 // SetMirror additionally renders every completed span into tr under
-// pid, via obs.Trace.CompleteAt — the bridge that puts service spans
-// next to the engine's worker/sample tracks in one Perfetto trace.
-// A nil tr clears the mirror.
+// pid, via obs.Trace.CompleteAt. Each span's category is its name, and
+// a span with a "worker" attribute goes on that worker's thread track
+// (others on track 0), so a runner's cells show per-worker occupancy.
+// The caller names the pid's process row. A nil tr clears the mirror.
 func (t *Tracer) SetMirror(tr *obs.Trace, pid int) {
 	if t == nil {
 		return
@@ -208,8 +213,6 @@ func (t *Tracer) SetMirror(tr *obs.Trace, pid int) {
 	t.mirror = tr
 	t.mirrorPid = pid
 	t.mu.Unlock()
-	tr.SetProcessName(pid, "service spans")
-	tr.SetThreadName(pid, 0, "requests")
 }
 
 // newIDs mints a fresh span id (and, when trace is zero, a fresh trace
@@ -319,13 +322,20 @@ func (t *Tracer) finish(sd SpanData) {
 	t.mu.Lock()
 	mirror, pid := t.mirror, t.mirrorPid
 	t.mu.Unlock()
-	if mirror != nil {
-		args := map[string]any{"trace_id": sd.TraceID, "span_id": sd.SpanID, "status": sd.Status}
-		for _, a := range sd.Attrs {
-			args[a.Key] = a.Value
-		}
-		mirror.CompleteAt(pid, 0, sd.Name, "service", sd.Start, sd.End, args)
+	if mirror == nil {
+		return
 	}
+	args := map[string]any{"trace_id": sd.TraceID, "span_id": sd.SpanID, "status": sd.Status}
+	tid := 0
+	for _, a := range sd.Attrs {
+		args[a.Key] = a.Value
+		if a.Key == "worker" {
+			// The Runner writes worker indices with fmt.Sprint; a value
+			// that does not parse leaves the span on track 0.
+			tid, _ = strconv.Atoi(a.Value)
+		}
+	}
+	mirror.CompleteAt(pid, tid, sd.Name, sd.Name, sd.Start, sd.End, args)
 }
 
 // Tracer returns the span's tracer (nil for a nil span).
