@@ -8,12 +8,12 @@ package main
 // TestServeDoesNotPerturbManifest.
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"os"
 	"time"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/melody"
 	"github.com/moatlab/melody/internal/obs/hostprof"
 	"github.com/moatlab/melody/internal/obs/serve"
@@ -22,12 +22,10 @@ import (
 // observatory bundles the run's live-view state. A nil *observatory is
 // a no-op on every method, so the engine loop calls it unconditionally.
 type observatory struct {
-	status   *melody.RunStatus
-	hub      *serve.Hub
-	run      *serve.Running
-	start    time.Time
-	stopProf context.CancelFunc
-	profDone chan struct{}
+	status *melody.RunStatus
+	hub    *serve.Hub
+	run    *serve.Running
+	start  time.Time
 }
 
 // startObservatory declares the run plan on a fresh status board and
@@ -40,13 +38,7 @@ type observatory struct {
 // therefore the manifest — never sees the profiler.
 func startObservatory(addr string, tel *melody.Telemetry, ids []string, log *slog.Logger, profEvery time.Duration) (*observatory, error) {
 	status := melody.NewRunStatus(tel)
-	titles := make([]string, len(ids))
-	for i, id := range ids {
-		if e, ok := melody.ExperimentByID(id); ok {
-			titles[i] = e.Title
-		}
-	}
-	status.Declare(ids, titles)
+	status.Declare(ids)
 
 	srv := serve.New(tel.Registry, func() any { return status.Snapshot() })
 	srv.SetLogger(log)
@@ -57,26 +49,18 @@ func startObservatory(addr string, tel *melody.Telemetry, ids []string, log *slo
 		srv.Tracer().SetMirror(tel.Trace, 3)
 		tel.Trace.SetProcessName(3, "service spans")
 	}
-	var prof *hostprof.Profiler
 	if profEvery > 0 {
-		prof = hostprof.New(hostprof.Config{
+		srv.AttachProfiler(hostprof.New(hostprof.Config{
 			Interval: profEvery,
 			Registry: srv.SelfRegistry(),
 			Log:      log,
-		})
-		srv.AttachProfiler(prof)
+		}))
 	}
 	run, err := srv.Start(addr)
 	if err != nil {
 		return nil, err
 	}
 	o := &observatory{status: status, hub: srv.Hub(), run: run, start: time.Now()}
-	if prof != nil {
-		ctx, cancel := context.WithCancel(context.Background())
-		o.stopProf = cancel
-		o.profDone = make(chan struct{})
-		go func() { prof.Run(ctx); close(o.profDone) }()
-	}
 	fmt.Fprintf(os.Stderr, "melody: observatory on http://%s/ (/metrics /progress /events /healthz)\n", run.Addr())
 	return o, nil
 }
@@ -90,7 +74,7 @@ func (o *observatory) experimentStart(id, title string) {
 		return
 	}
 	o.status.BeginExperiment(id, title)
-	o.hub.Publish(serve.Event{Type: serve.EventExperimentStart, AtMs: o.atMs(), Experiment: id, Title: title})
+	o.hub.Publish(serve.Event{Type: jobs.EventExperimentStart, AtMs: o.atMs(), Experiment: id, Title: title})
 }
 
 // cell records batch progress and publishes a cell event.
@@ -99,7 +83,7 @@ func (o *observatory) cell(id string, done, total int) {
 		return
 	}
 	o.status.CellDone(id, done, total)
-	o.hub.Publish(serve.Event{Type: serve.EventCell, AtMs: o.atMs(), Experiment: id, Done: done, Total: total})
+	o.hub.Publish(serve.Event{Type: jobs.EventCell, AtMs: o.atMs(), Experiment: id, Done: done, Total: total})
 }
 
 // experimentEnd marks id done with its wall time.
@@ -108,7 +92,7 @@ func (o *observatory) experimentEnd(id string, wallS float64) {
 		return
 	}
 	o.status.EndExperiment(id, wallS)
-	o.hub.Publish(serve.Event{Type: serve.EventExperimentEnd, AtMs: o.atMs(), Experiment: id, WallS: wallS})
+	o.hub.Publish(serve.Event{Type: jobs.EventExperimentEnd, AtMs: o.atMs(), Experiment: id, WallS: wallS})
 }
 
 // finish marks the run complete (or interrupted) and publishes the
@@ -128,11 +112,5 @@ func (o *observatory) close() {
 	if o == nil {
 		return
 	}
-	if o.stopProf != nil {
-		o.stopProf()
-		<-o.profDone
-	}
-	if o.run != nil {
-		o.run.Close()
-	}
+	o.run.Close()
 }

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/melody"
 	"github.com/moatlab/melody/internal/obs/serve"
 	"github.com/moatlab/melody/internal/obs/svclog"
@@ -209,7 +210,7 @@ func TestObservatoryLiveEndpoints(t *testing.T) {
 			break
 		}
 	}
-	for _, want := range []string{serve.EventExperimentStart, serve.EventCell, serve.EventExperimentEnd, serve.EventRunEnd} {
+	for _, want := range []string{jobs.EventExperimentStart, jobs.EventCell, jobs.EventExperimentEnd, serve.EventRunEnd} {
 		if !seen[want] {
 			t.Fatalf("SSE stream missing %s events (saw %v)", want, seen)
 		}

@@ -47,13 +47,7 @@ func jobExecutor(cur *atomic.Pointer[melody.RunStatus], log *slog.Logger) jobs.E
 		}
 		tel := melody.NewTelemetry()
 		status := melody.NewRunStatus(tel)
-		titles := make([]string, len(sp.Experiments))
-		for i, id := range sp.Experiments {
-			if e, ok := melody.ExperimentByID(id); ok {
-				titles[i] = e.Title
-			}
-		}
-		status.Declare(sp.Experiments, titles)
+		status.Declare(sp.Experiments)
 		cur.Store(status)
 
 		out, err := melody.Execute(ctx, sp, melody.ExecHooks{
@@ -186,18 +180,17 @@ func serveCmd(args []string) int {
 
 	// -prof-interval attaches the continuous host profiler: interval and
 	// job-start captures of the service process, stamped with the job ids
-	// running during each window, queryable at /profiles. Instruments go
+	// that ran during each round, queryable at /profiles. Instruments go
 	// to the self-registry; per-job engine registries never see them, so
-	// profiling cannot perturb any job's manifest.
-	var prof *hostprof.Profiler
+	// profiling cannot perturb any job's manifest. The server runs it
+	// from Start until Close.
 	if *profEvery > 0 {
-		prof = hostprof.New(hostprof.Config{
+		srv.AttachProfiler(hostprof.New(hostprof.Config{
 			Interval:   *profEvery,
 			Registry:   srv.SelfRegistry(),
 			Log:        logger,
-			ActiveJobs: mgr.RunningJobs,
-		})
-		srv.AttachProfiler(prof)
+			JobsDuring: mgr.JobsDuring,
+		}))
 	}
 
 	run, err := srv.Start(*addr)
@@ -218,15 +211,7 @@ func serveCmd(args []string) int {
 	// drain completes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	var profDone chan struct{}
-	if prof != nil {
-		profDone = make(chan struct{})
-		go func() { prof.Run(ctx); close(profDone) }()
-	}
 	mgr.Run(ctx)
-	if profDone != nil {
-		<-profDone
-	}
 	logger.Info("job service drained, shutting down")
 	return 0
 }

@@ -39,6 +39,7 @@ import (
 	"fmt"
 	"log/slog"
 	"runtime/pprof"
+	"slices"
 	"sync"
 	"time"
 
@@ -677,19 +678,33 @@ func (m *Manager) QueueDepth() int {
 // QueueCap returns the admission bound.
 func (m *Manager) QueueCap() int { return m.queueCap }
 
-// RunningJobs returns the ids of jobs currently executing (with one
-// worker, zero or one). The continuous profiler stamps captures with
-// this set so profiles overlapping a job are findable by job id — and
-// protected from routine eviction.
-func (m *Manager) RunningJobs() []string {
+// JobsDuring returns, in submission order, the ids of the jobs this
+// process executed at some point in [from, to]: started by to and
+// still running or finished no earlier than from. The continuous
+// profiler stamps each capture with the jobs its window overlapped, so
+// profiles are findable by job id — and protected from routine
+// eviction — even for a job that started and finished inside one
+// window.
+func (m *Manager) JobsDuring(from, to time.Time) []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	// The one worker runs jobs FIFO, so the jobs it executed started and
+	// finished in submission order: walking back from the newest, the
+	// first one that finished before from ends the search, and the scan
+	// stays near the window however long the job table grows. Store
+	// answers and restored history never ran here and are passed over.
 	var out []string
-	for _, j := range m.live {
-		if j.state == StateRunning {
-			out = append(out, j.id)
+	for i := len(m.order) - 1; i >= 0; i-- {
+		j := m.byID[m.order[i]]
+		if j.restored || j.startedAt.IsZero() || j.startedAt.After(to) {
+			continue
 		}
+		if !j.finishedAt.IsZero() && j.finishedAt.Before(from) {
+			break
+		}
+		out = append(out, j.id)
 	}
+	slices.Reverse(out)
 	return out
 }
 

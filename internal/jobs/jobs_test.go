@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -300,6 +301,75 @@ func TestFIFOOrder(t *testing.T) {
 	for i := range want {
 		if order[i] != want[i] {
 			t.Fatalf("execution order %v, want %v", order, want)
+		}
+	}
+}
+
+// TestJobsDuring pins the window query the host profiler stamps
+// captures with: a job counts when it ran at any point in [from, to],
+// bounds inclusive, including one that started and finished strictly
+// inside the window. Store answers and restored history never ran here
+// and never count.
+func TestJobsDuring(t *testing.T) {
+	clock := newFakeClock()
+	t0 := clock.Now()
+	ms := func(n int) time.Time { return t0.Add(time.Duration(n) * time.Millisecond) }
+	g := newGatedExecutor()
+	m := New(g.exec, 4)
+	m.now = clock.Now
+	specJSON, err := spec.Encode(testSpec(9).Normalized())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreJob("sha256:restored", "addr-restored", specJSON, ms(15)); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	go m.Run(ctx)
+
+	clock.Advance(10 * time.Millisecond)
+	st, err := m.Submit(testSpec(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-g.started
+	waitState(t, m, st.ID, StateRunning)
+	want := []string{st.ID}
+	if got := m.JobsDuring(ms(50), ms(60)); !slices.Equal(got, want) {
+		t.Fatalf("running job in a later window = %v, want %v", got, want)
+	}
+	clock.Advance(10 * time.Millisecond)
+	close(g.release)
+	waitState(t, m, st.ID, StateDone)
+	if hit, err := m.Submit(testSpec(1)); err != nil || !hit.CacheHit {
+		t.Fatalf("resubmission = %+v, %v; want a store answer", hit, err)
+	}
+	// A second job runs (released, so instantly) at 30 ms, after the
+	// store answer in the table.
+	clock.Advance(10 * time.Millisecond)
+	st2, err := m.Submit(testSpec(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitState(t, m, st2.ID, StateDone)
+	both := []string{st.ID, st2.ID}
+
+	for _, c := range []struct {
+		from, to int
+		want     []string
+	}{
+		{0, 25, want},  // ran 10–20 ms, inside the window
+		{20, 25, want}, // finished at the window's start
+		{0, 10, want},  // started at the window's end
+		{20, 50, both},
+		{21, 50, []string{st2.ID}},
+		{30, 30, []string{st2.ID}},
+		{21, 29, nil}, // between the two jobs
+		{0, 9, nil},
+	} {
+		if got := m.JobsDuring(ms(c.from), ms(c.to)); !slices.Equal(got, c.want) {
+			t.Fatalf("JobsDuring(%d ms, %d ms) = %v, want %v", c.from, c.to, got, c.want)
 		}
 	}
 }

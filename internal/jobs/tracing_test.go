@@ -14,7 +14,7 @@ import (
 // worker until the job terminates, returning the trace's span tree.
 func runTraced(t *testing.T, exec Executor, sp spec.RunSpec) ([]*tracespan.Node, *tracespan.Store) {
 	t.Helper()
-	store := tracespan.NewStore(0, 0)
+	store := tracespan.NewStore()
 	tr := tracespan.NewTracer(store)
 	m := New(exec, 4)
 	m.SetTracer(tr)
@@ -132,7 +132,7 @@ func TestUntracedSubmitRecordsNothing(t *testing.T) {
 		}
 		return ExecResult{ManifestJSON: []byte(`{}`), Address: "sha256:x"}, nil
 	}
-	store := tracespan.NewStore(0, 0)
+	store := tracespan.NewStore()
 	m := New(exec, 4)
 	m.SetTracer(tracespan.NewTracer(store))
 	st, err := m.Submit(testSpec(3))

@@ -3,7 +3,6 @@ package melody
 import (
 	"fmt"
 
-	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/platform"
@@ -253,5 +252,3 @@ func Fig9b(ec *ExperimentContext) *Report {
 func percent(v float64) string {
 	return fmt.Sprintf("%.1f%%", v*100)
 }
-
-var _ = core.Sample{} // reserved for future sampling-based figures

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/moatlab/melody/internal/obs/hostprof"
+	"github.com/moatlab/melody/internal/obs/profile"
 )
 
 // TestExecutePprofLabels pins the label plumbing: while Execute runs,
@@ -45,8 +46,7 @@ func TestExecutePprofLabels(t *testing.T) {
 		t.Fatal("run never reached a progress callback")
 	}
 
-	p := hostprof.New(hostprof.Config{Types: []string{hostprof.TypeGoroutine}, Watchdog: hostprof.WatchdogConfig{Disabled: true}})
-	pr := captureGoroutineProfile(t, p)
+	pr := captureGoroutineProfile(t, hostprof.New(hostprof.Config{}))
 	close(release)
 	if err := <-done; err != nil {
 		t.Fatal(err)
@@ -60,20 +60,24 @@ func TestExecutePprofLabels(t *testing.T) {
 	}
 }
 
-func captureGoroutineProfile(t *testing.T, p *hostprof.Profiler) *hostprof.Parsed {
+// captureGoroutineProfile runs p until its first round has taken the
+// goroutine snapshot, then stops it and parses that snapshot.
+func captureGoroutineProfile(t *testing.T, p *hostprof.Profiler) *profile.Parsed {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go p.Run(ctx)
+	done := make(chan struct{})
+	go func() { p.Run(ctx); close(done) }()
+	defer func() { cancel(); <-done }()
 	deadline := time.After(10 * time.Second)
-	for p.Store().Len() == 0 {
+	var caps []hostprof.Capture
+	for len(caps) == 0 {
 		select {
 		case <-deadline:
-			t.Fatal("profiler captured nothing")
+			t.Fatal("profiler captured no goroutine profile")
 		case <-time.After(5 * time.Millisecond):
 		}
+		caps = p.Store().List(hostprof.Filter{Type: hostprof.TypeGoroutine})
 	}
-	caps := p.Store().List(hostprof.Filter{Type: hostprof.TypeGoroutine})
 	full, ok := p.Store().Get(caps[0].ID)
 	if !ok {
 		t.Fatal("capture vanished")
@@ -85,7 +89,7 @@ func captureGoroutineProfile(t *testing.T, p *hostprof.Profiler) *hostprof.Parse
 	return pr
 }
 
-func hasLabel(p *hostprof.Parsed, key, want string) bool {
+func hasLabel(p *profile.Parsed, key, want string) bool {
 	for _, v := range p.LabelValues(key) {
 		if v == want {
 			return true
@@ -120,11 +124,7 @@ func TestManifestParityProfilingOnOff(t *testing.T) {
 
 	// Profiler on: tight cadence so rounds (CPU windows, heap snapshots,
 	// mutex/block rate flips) actually overlap the execution.
-	p := hostprof.New(hostprof.Config{
-		Interval:    50 * time.Millisecond,
-		CPUDuration: 20 * time.Millisecond,
-		Watchdog:    hostprof.WatchdogConfig{Disabled: true},
-	})
+	p := hostprof.New(hostprof.Config{Interval: 40 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	profDone := make(chan struct{})
 	go func() { p.Run(ctx); close(profDone) }()

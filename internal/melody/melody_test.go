@@ -207,15 +207,17 @@ func TestSpaAccuracyAcrossCatalog(t *testing.T) {
 // TestFig12Shift asserts the prefetcher miss-shift correlation.
 func TestFig12Shift(t *testing.T) {
 	o := Options{MaxWorkloads: 10, Instructions: 400_000, Warmup: 100_000, Seed: 1}
-	rep := Fig12a(testCtx(o))
+	ec := testCtx(o)
+	rep := Fig12a(ec)
 	joined := strings.Join(rep.Lines, "\n")
 	if !strings.Contains(joined, "Pearson") {
 		t.Fatal("fig12a produced no correlation line")
 	}
-	// Recompute directly for the assertion.
+	// Recompute the correlation from the 20 cells Fig12a just ran: the
+	// engine's runner holds them, so these lookups execute nothing.
 	specs := pfSensitive(10)
 	emr := platform.EMR2S()
-	run := fastRunner(emr)
+	run := ec.Runner(emr)
 	var dec, inc []float64
 	for _, s := range specs {
 		base := must(run.RunCtx(context.Background(), RunRequest{Spec: s, Config: Local(emr)}))

@@ -66,20 +66,20 @@ func NewRunStatus(tel *Telemetry) *RunStatus {
 }
 
 // Declare records the run plan up front so /progress can show pending
-// experiments before they start.
-func (s *RunStatus) Declare(ids, titles []string) {
+// experiments, with their registered titles, before they start.
+func (s *RunStatus) Declare(ids []string) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for i, id := range ids {
+	for _, id := range ids {
 		if _, ok := s.exps[id]; ok {
 			continue
 		}
 		ep := &ExperimentProgress{ID: id, State: "pending"}
-		if i < len(titles) {
-			ep.Title = titles[i]
+		if e, ok := ExperimentByID(id); ok {
+			ep.Title = e.Title
 		}
 		s.exps[id] = ep
 		s.order = append(s.order, id)

@@ -8,11 +8,21 @@ import (
 
 func TestRunStatusLifecycle(t *testing.T) {
 	s := NewRunStatus(NewTelemetry())
-	s.Declare([]string{"fig5", "fig8a"}, []string{"Curves", "CDFs"})
+	s.Declare([]string{"fig5", "fig8a", "no-such-experiment"})
 
 	snap := s.Snapshot()
-	if len(snap.Experiments) != 2 || snap.Experiments[0].State != "pending" {
+	if len(snap.Experiments) != 3 || snap.Experiments[0].State != "pending" {
 		t.Fatalf("declared snapshot = %+v", snap.Experiments)
+	}
+	// Declare looks the titles up in the experiment registry.
+	for i, id := range []string{"fig5", "fig8a"} {
+		e, _ := ExperimentByID(id)
+		if got := snap.Experiments[i].Title; got == "" || got != e.Title {
+			t.Fatalf("%s declared with title %q, want the registered %q", id, got, e.Title)
+		}
+	}
+	if got := snap.Experiments[2].Title; got != "" {
+		t.Fatalf("unknown id declared with title %q", got)
 	}
 
 	s.BeginExperiment("fig5", "Curves")
@@ -66,7 +76,7 @@ func TestRunStatusProgressNeverRegresses(t *testing.T) {
 
 func TestRunStatusNilSafe(t *testing.T) {
 	var s *RunStatus
-	s.Declare([]string{"x"}, nil)
+	s.Declare([]string{"x"})
 	s.BeginExperiment("x", "")
 	s.CellDone("x", 1, 2)
 	s.EndExperiment("x", 1)
@@ -100,7 +110,7 @@ func TestRunStatusSnapshotIsJSON(t *testing.T) {
 // /progress path: scrapers snapshot while the engine reports progress.
 func TestRunStatusConcurrentReadersAndWriters(t *testing.T) {
 	s := NewRunStatus(NewTelemetry())
-	s.Declare([]string{"fig5"}, []string{"Curves"})
+	s.Declare([]string{"fig5"})
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {

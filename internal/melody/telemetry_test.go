@@ -77,7 +77,7 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 	if _, err := json.Marshal(tel.Trace); err != nil {
 		t.Fatalf("trace does not marshal: %v", err)
 	}
-	if _, err := json.Marshal(tel.Registry); err != nil {
+	if _, err := json.Marshal(tel.Registry.Snapshot()); err != nil {
 		t.Fatalf("registry does not marshal: %v", err)
 	}
 }
@@ -99,7 +99,7 @@ func TestCanceledCellsLeaveNoSpans(t *testing.T) {
 		tel := NewTelemetry()
 		tel.Trace = obs.NewTrace()
 		r.Obs = tel
-		store := tracespan.NewStore(0, 0)
+		store := tracespan.NewStore()
 		ctx, root := tracespan.NewTracer(store).StartRoot(context.Background(), "exec", tracespan.SpanContext{})
 		ctx, cancel := context.WithCancel(ctx)
 		cancel()

@@ -33,7 +33,7 @@ func tracingSpec() spec.RunSpec {
 // (the job worker's "exec" in production) parents a run span, which
 // parents an experiment span, whose leaves are cell spans.
 func TestExecuteSpanTree(t *testing.T) {
-	store := tracespan.NewStore(0, 0)
+	store := tracespan.NewStore()
 	tr := tracespan.NewTracer(store)
 	ctx, execSpan := tr.StartRoot(context.Background(), "exec", tracespan.SpanContext{})
 
@@ -112,7 +112,7 @@ func TestManifestParityTracingOnOff(t *testing.T) {
 
 	plain := run(context.Background())
 
-	tr := tracespan.NewTracer(tracespan.NewStore(0, 0))
+	tr := tracespan.NewTracer(tracespan.NewStore())
 	ctx, span := tr.StartRoot(context.Background(), "exec", tracespan.SpanContext{})
 	traced := run(ctx)
 	span.End()

@@ -14,15 +14,9 @@ import (
 	"github.com/moatlab/melody/internal/obs/profile"
 )
 
-// The profiler reads its captures with the profile codec's decoder.
-type (
-	ValueType    = profile.ValueType
-	Parsed       = profile.Parsed
-	ParsedSample = profile.ParsedSample
-)
-
-// Parse decodes a pprof profile, gzipped or not.
-func Parse(data []byte) (*Parsed, error) { return profile.Parse(data) }
+// Parse decodes a pprof profile, gzipped or not, with the profile
+// codec's decoder.
+func Parse(data []byte) (*profile.Parsed, error) { return profile.Parse(data) }
 
 // DeltaRow is one stack's change between two heap snapshots. Stack is
 // leaf-first (the allocation site leads). Delta holds one value per
@@ -35,7 +29,7 @@ type DeltaRow struct {
 // HeapDelta is the comparison of two heap snapshots.
 type HeapDelta struct {
 	// SampleTypes names the value columns of every Delta row.
-	SampleTypes []ValueType `json:"sample_types"`
+	SampleTypes []profile.ValueType `json:"sample_types"`
 	// SortedBy is the sample type the rows are ranked on (inuse_space
 	// when present).
 	SortedBy string `json:"sorted_by"`
@@ -56,7 +50,7 @@ const DefaultDeltaRows = 50
 // DiffHeap computes to − from, per stack. Both profiles must share
 // sample types (two captures of the same runtime profile kind always
 // do). maxRows bounds the report (0 = DefaultDeltaRows).
-func DiffHeap(from, to *Parsed, maxRows int) (*HeapDelta, error) {
+func DiffHeap(from, to *profile.Parsed, maxRows int) (*HeapDelta, error) {
 	if maxRows <= 0 {
 		maxRows = DefaultDeltaRows
 	}
@@ -73,7 +67,7 @@ func DiffHeap(from, to *Parsed, maxRows int) (*HeapDelta, error) {
 	}
 
 	acc := map[string]*DeltaRow{}
-	fold := func(p *Parsed, sign int64) {
+	fold := func(p *profile.Parsed, sign int64) {
 		for _, s := range p.Samples {
 			key := strings.Join(s.Stack, "\x00")
 			row, ok := acc[key]

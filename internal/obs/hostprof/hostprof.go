@@ -17,7 +17,7 @@
 //
 // Capture taxonomy:
 //
-//	cpu        windowed pprof.StartCPUProfile session (CPUDuration)
+//	cpu        windowed pprof.StartCPUProfile session, min(5s, Interval/2)
 //	heap       instant allocation snapshot (inuse/alloc space+objects)
 //	goroutine  instant stack census
 //	mutex      contention events sampled only during the round's window
@@ -31,7 +31,10 @@
 // a job starts ("job_start", wired by the observatory so a short job is
 // never missed between ticks), and immediately when the anomaly
 // watchdog fires ("watchdog:goroutines" / "watchdog:heap" /
-// "watchdog:gc_pause" — see watchdog.go). The profiler is strictly
+// "watchdog:gc_pause" — see watchdog.go). Each capture is stamped with
+// every job that executed between its round's start and the capture's
+// end (Config.JobsDuring), so a job that starts and finishes inside
+// one CPU window is still found by job id. The profiler is strictly
 // observation-side: it shares no state with the engine, so manifests
 // are byte-identical with profiling on or off (test-pinned in
 // internal/melody).
@@ -57,7 +60,8 @@ const (
 )
 
 // Profile types, matching runtime/pprof's Lookup names (cpu is the
-// windowed StartCPUProfile session, not a Lookup).
+// windowed StartCPUProfile session, not a Lookup). Every round captures
+// all five.
 const (
 	TypeCPU       = "cpu"
 	TypeHeap      = "heap"
@@ -66,100 +70,60 @@ const (
 	TypeBlock     = "block"
 )
 
-// AllTypes is the default capture set.
-var AllTypes = []string{TypeCPU, TypeHeap, TypeGoroutine, TypeMutex, TypeBlock}
+// Capture settings. A round's CPU window is maxCPUWindow, or half the
+// interval when that is shorter, so rounds can never overlap. While the
+// window is open the mutex profile fraction is mutexFraction (restored
+// to its previous value after) and the block profile rate is blockRate
+// ns (reset to 0 after: block profiling has no read-back, so the
+// profiler owns the knob).
+const (
+	defaultInterval = 60 * time.Second
+	maxCPUWindow    = 5 * time.Second
+	mutexFraction   = 5
+	blockRate       = 10_000
+)
 
-// Config parameterizes a Profiler. The zero value is usable: every
-// field has a serviceable default.
+// Config parameterizes a Profiler. The zero value is usable.
 type Config struct {
 	// Interval is the cadence between routine capture rounds
-	// (default 60s).
+	// (default 60s). It also sets the CPU window, min(5s, Interval/2).
 	Interval time.Duration
-	// CPUDuration is the CPU profiling window per round (default 5s,
-	// clamped to half the interval so rounds can never overlap).
-	CPUDuration time.Duration
-	// Types selects which profiles each round captures (default
-	// AllTypes).
-	Types []string
-	// MutexFraction is the runtime.SetMutexProfileFraction value while
-	// a round's window is open (default 5). Restored to the previous
-	// value after.
-	MutexFraction int
-	// BlockRate is the runtime.SetBlockProfileRate value while a
-	// round's window is open (default 10000 ns). Reset to 0 after —
-	// block profiling has no read-back, so the profiler assumes
-	// ownership of the knob.
-	BlockRate int
-	// Store receives the captures (default NewStore(0, 0)).
-	Store *Store
 	// Registry, when set, receives the profiler's self-metrics
 	// (hostprof/* families). Point it at an observatory self-registry,
 	// never at an engine registry.
 	Registry *obs.Registry
 	// Log receives one structured line per capture (nil is silent).
 	Log *slog.Logger
-	// ActiveJobs, when set, returns the ids of jobs currently
-	// executing; captures overlapping them are stamped and protected
-	// by retention.
-	ActiveJobs func() []string
-	// Watchdog configures the anomaly watchdog; its zero value enables
-	// the defaults. Set Watchdog.Disabled to run without one.
-	Watchdog WatchdogConfig
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = 60 * time.Second
-	}
-	if c.CPUDuration <= 0 {
-		c.CPUDuration = 5 * time.Second
-	}
-	if c.CPUDuration > c.Interval/2 {
-		c.CPUDuration = c.Interval / 2
-	}
-	if len(c.Types) == 0 {
-		c.Types = AllTypes
-	}
-	if c.MutexFraction <= 0 {
-		c.MutexFraction = 5
-	}
-	if c.BlockRate <= 0 {
-		c.BlockRate = 10_000
-	}
-	if c.Store == nil {
-		c.Store = NewStore(0, 0)
-	}
-	if c.Log == nil {
-		c.Log = svclog.Discard()
-	}
-	return c
+	// JobsDuring, when set, returns the ids of jobs that executed at
+	// some point in [from, to]; each capture is stamped with the jobs
+	// its round overlapped and protected by retention.
+	JobsDuring func(from, to time.Time) []string
 }
 
 // Profiler runs the capture loop. Build with New, drive with Run;
 // TriggerCPU requests an immediate out-of-cadence round.
 type Profiler struct {
 	cfg     Config
+	window  time.Duration // CPU window per round
 	store   *Store
-	log     *slog.Logger
-	types   map[string]bool
 	trigger chan string
 	wd      *watchdog
 }
 
 // New returns a Profiler over cfg (see Config for defaults).
 func New(cfg Config) *Profiler {
-	cfg = cfg.withDefaults()
-	types := make(map[string]bool, len(cfg.Types))
-	for _, t := range cfg.Types {
-		types[t] = true
+	if cfg.Interval <= 0 {
+		cfg.Interval = defaultInterval
+	}
+	if cfg.Log == nil {
+		cfg.Log = svclog.Discard()
 	}
 	return &Profiler{
 		cfg:     cfg,
-		store:   cfg.Store,
-		log:     cfg.Log,
-		types:   types,
+		window:  min(maxCPUWindow, cfg.Interval/2),
+		store:   NewStore(),
 		trigger: make(chan string, 4),
-		wd:      newWatchdog(cfg.Watchdog),
+		wd:      newWatchdog(),
 	}
 }
 
@@ -190,14 +154,10 @@ func (p *Profiler) TriggerCPU(reason string) {
 func (p *Profiler) Run(ctx context.Context) {
 	tick := time.NewTicker(p.cfg.Interval)
 	defer tick.Stop()
-	var wdC <-chan time.Time
-	if !p.cfg.Watchdog.Disabled {
-		wdTick := time.NewTicker(p.wd.cfg.Interval)
-		defer wdTick.Stop()
-		wdC = wdTick.C
-		// Seed the watchdog's baseline before any work is profiled.
-		p.wd.observe(TakeReading(0))
-	}
+	wdTick := time.NewTicker(watchdogInterval)
+	defer wdTick.Stop()
+	// Seed the watchdog's baseline before any work is profiled.
+	p.wd.observe(TakeReading(0))
 	// First round immediately: a short-lived process (or a CI smoke)
 	// should not wait a full interval for its first profile.
 	p.round(ctx, ReasonInterval)
@@ -209,12 +169,12 @@ func (p *Profiler) Run(ctx context.Context) {
 			p.round(ctx, ReasonInterval)
 		case reason := <-p.trigger:
 			p.round(ctx, reason)
-		case <-wdC:
+		case <-wdTick.C:
 			reading := TakeReading(p.wd.prevNumGC)
 			reasons := p.wd.observe(reading)
 			for _, r := range reasons {
 				p.count("hostprof/watchdog_triggers|reason=" + r)
-				p.log.Warn("hostprof watchdog triggered",
+				p.cfg.Log.Warn("hostprof watchdog triggered",
 					"signal", r,
 					"goroutines", reading.Goroutines,
 					"heap_alloc_bytes", reading.HeapAlloc,
@@ -227,75 +187,55 @@ func (p *Profiler) Run(ctx context.Context) {
 	}
 }
 
-// round captures every enabled profile type once, tagged reason.
+// round captures every profile type once, tagged reason. Each capture
+// is stamped with the jobs that ran between the round's start and the
+// capture's end.
 func (p *Profiler) round(ctx context.Context, reason string) {
 	start := time.Now()
-	jobs := p.activeJobs()
 	p.count("hostprof/rounds|reason=" + reason)
 
 	// Instant snapshots first: they describe the process at the moment
 	// the round (and whatever triggered it) began.
-	for _, t := range []string{TypeHeap, TypeGoroutine} {
-		if p.types[t] {
-			p.lookupCapture(t, reason, jobs)
-		}
-	}
+	p.lookupCapture(TypeHeap, reason, start)
+	p.lookupCapture(TypeGoroutine, reason, start)
 
 	// Windowed captures: mutex/block event sampling is enabled only
 	// while the window is open, so the cost between rounds — and with
 	// the profiler off — is exactly zero.
-	windowed := p.types[TypeCPU] || p.types[TypeMutex] || p.types[TypeBlock]
-	if windowed {
-		var prevMutex int
-		if p.types[TypeMutex] {
-			prevMutex = runtime.SetMutexProfileFraction(p.cfg.MutexFraction)
-		}
-		if p.types[TypeBlock] {
-			runtime.SetBlockProfileRate(p.cfg.BlockRate)
-		}
-
-		var cpuBuf bytes.Buffer
-		cpuStart := time.Now()
-		cpuOK := false
-		if p.types[TypeCPU] {
-			if err := pprof.StartCPUProfile(&cpuBuf); err != nil {
-				// Another CPU profile is in flight (e.g. a /debug/pprof
-				// fetch); skip this window rather than fight over it.
-				p.count("hostprof/capture_errors|type=" + TypeCPU)
-				p.log.Warn("hostprof cpu capture skipped", "err", err.Error())
-			} else {
-				cpuOK = true
-			}
-		}
-		sleepCtx(ctx, p.cfg.CPUDuration)
-		if cpuOK {
-			pprof.StopCPUProfile()
-			p.add(Capture{Type: TypeCPU, Reason: reason, Start: cpuStart, End: time.Now(),
-				Jobs: p.mergeJobs(jobs), Bytes: append([]byte(nil), cpuBuf.Bytes()...)})
-		}
-
-		if p.types[TypeMutex] {
-			p.lookupCapture(TypeMutex, reason, jobs)
-			runtime.SetMutexProfileFraction(prevMutex)
-		}
-		if p.types[TypeBlock] {
-			p.lookupCapture(TypeBlock, reason, jobs)
-			runtime.SetBlockProfileRate(0)
-		}
+	prevMutex := runtime.SetMutexProfileFraction(mutexFraction)
+	runtime.SetBlockProfileRate(blockRate)
+	var cpuBuf bytes.Buffer
+	cpuStart := time.Now()
+	cpuErr := pprof.StartCPUProfile(&cpuBuf)
+	if cpuErr != nil {
+		// Another CPU profile is in flight (e.g. a /debug/pprof fetch);
+		// skip this window rather than fight over it.
+		p.count("hostprof/capture_errors|type=" + TypeCPU)
+		p.cfg.Log.Warn("hostprof cpu capture skipped", "err", cpuErr.Error())
 	}
+	sleepCtx(ctx, p.window)
+	if cpuErr == nil {
+		pprof.StopCPUProfile()
+		p.add(Capture{Type: TypeCPU, Reason: reason, Start: cpuStart, End: time.Now(),
+			Bytes: cpuBuf.Bytes()}, start)
+	}
+	p.lookupCapture(TypeMutex, reason, start)
+	runtime.SetMutexProfileFraction(prevMutex)
+	p.lookupCapture(TypeBlock, reason, start)
+	runtime.SetBlockProfileRate(0)
 
-	if p.cfg.Registry != nil {
-		p.cfg.Registry.Histogram("hostprof/round_seconds").Record(time.Since(start).Seconds())
+	if reg := p.cfg.Registry; reg != nil {
+		reg.Histogram("hostprof/round_seconds").Record(time.Since(start).Seconds())
 		st := p.store.Stats()
-		p.cfg.Registry.Gauge("hostprof/store_captures").Set(float64(st.Stored))
-		p.cfg.Registry.Gauge("hostprof/store_bytes").Set(float64(st.StoredLen))
-		p.cfg.Registry.Gauge("hostprof/store_evictions").Set(float64(st.Evicted))
+		reg.Gauge("hostprof/store_captures").Set(float64(st.Stored))
+		reg.Gauge("hostprof/store_bytes").Set(float64(st.StoredLen))
+		reg.Gauge("hostprof/store_evictions").Set(float64(st.Evicted))
 	}
 }
 
 // lookupCapture snapshots one runtime/pprof named profile (debug=0 is
 // the gzipped protobuf form every pprof consumer reads).
-func (p *Profiler) lookupCapture(name, reason string, jobs []string) {
+func (p *Profiler) lookupCapture(name, reason string, roundStart time.Time) {
 	prof := pprof.Lookup(name)
 	if prof == nil {
 		p.count("hostprof/capture_errors|type=" + name)
@@ -305,56 +245,30 @@ func (p *Profiler) lookupCapture(name, reason string, jobs []string) {
 	var buf bytes.Buffer
 	if err := prof.WriteTo(&buf, 0); err != nil {
 		p.count("hostprof/capture_errors|type=" + name)
-		p.log.Warn("hostprof capture failed", "type", name, "err", err.Error())
+		p.cfg.Log.Warn("hostprof capture failed", "type", name, "err", err.Error())
 		return
 	}
-	p.add(Capture{Type: name, Reason: reason, Start: now, End: now,
-		Jobs: p.mergeJobs(jobs), Bytes: buf.Bytes()})
+	p.add(Capture{Type: name, Reason: reason, Start: now, End: now, Bytes: buf.Bytes()}, roundStart)
 }
 
-// add stores one capture and records its self-metrics and log line.
-func (p *Profiler) add(c Capture) {
+// add stamps c with the jobs that ran in [roundStart, c.End], stores
+// it, and records its self-metrics and log line.
+func (p *Profiler) add(c Capture, roundStart time.Time) {
+	if p.cfg.JobsDuring != nil {
+		c.Jobs = p.cfg.JobsDuring(roundStart, c.End)
+	}
 	id := p.store.Add(c)
 	p.count("hostprof/captures|type=" + c.Type)
 	if p.cfg.Registry != nil {
 		p.cfg.Registry.Histogram("hostprof/capture_bytes").Record(float64(len(c.Bytes)))
 	}
-	p.log.Debug("hostprof capture",
+	p.cfg.Log.Debug("hostprof capture",
 		"profile_id", id,
 		"type", c.Type,
 		"reason", c.Reason,
 		"bytes", len(c.Bytes),
 		"jobs", len(c.Jobs),
 	)
-}
-
-// activeJobs snapshots the running-job set (nil-safe).
-func (p *Profiler) activeJobs() []string {
-	if p.cfg.ActiveJobs == nil {
-		return nil
-	}
-	return p.cfg.ActiveJobs()
-}
-
-// mergeJobs unions the round-start job set with the jobs active now,
-// so a capture is stamped with every job it overlapped — whichever end
-// of the window the job ran in.
-func (p *Profiler) mergeJobs(atStart []string) []string {
-	now := p.activeJobs()
-	if len(now) == 0 {
-		return atStart
-	}
-	seen := make(map[string]bool, len(atStart))
-	out := append([]string(nil), atStart...)
-	for _, j := range atStart {
-		seen[j] = true
-	}
-	for _, j := range now {
-		if !seen[j] {
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 func (p *Profiler) count(name string) {

@@ -11,27 +11,28 @@ import (
 	"github.com/moatlab/melody/internal/obs"
 )
 
+// testProfiler builds a profiler whose CPU window is 150ms unless cfg
+// sets an Interval (the window is half of it).
 func testProfiler(t *testing.T, cfg Config) *Profiler {
 	t.Helper()
 	if cfg.Interval == 0 {
-		cfg.Interval = time.Second
+		cfg.Interval = 300 * time.Millisecond
 	}
-	if cfg.CPUDuration == 0 {
-		cfg.CPUDuration = 150 * time.Millisecond
-	}
-	cfg.Watchdog.Disabled = true
 	return New(cfg)
 }
+
+// allTypes is every profile type a round captures.
+var allTypes = []string{TypeCPU, TypeHeap, TypeGoroutine, TypeMutex, TypeBlock}
 
 func TestRoundCapturesEveryType(t *testing.T) {
 	reg := obs.NewRegistry()
 	p := testProfiler(t, Config{
 		Registry:   reg,
-		ActiveJobs: func() []string { return []string{"run-000001"} },
+		JobsDuring: func(from, to time.Time) []string { return []string{"run-000001"} },
 	})
 	p.round(context.Background(), ReasonInterval)
 
-	for _, typ := range AllTypes {
+	for _, typ := range allTypes {
 		got := p.Store().List(Filter{Type: typ})
 		if len(got) != 1 {
 			t.Fatalf("type %s: %d captures, want 1", typ, len(got))
@@ -70,7 +71,7 @@ func TestRoundRestoresProfilingRates(t *testing.T) {
 	prev := runtime.SetMutexProfileFraction(3)
 	defer runtime.SetMutexProfileFraction(prev)
 
-	p := testProfiler(t, Config{CPUDuration: 20 * time.Millisecond})
+	p := testProfiler(t, Config{Interval: 40 * time.Millisecond})
 	p.round(context.Background(), ReasonInterval)
 
 	if got := runtime.SetMutexProfileFraction(-1); got != 3 {
@@ -82,10 +83,7 @@ func TestCPUCaptureCarriesPprofLabels(t *testing.T) {
 	if runtime.NumCPU() < 2 {
 		t.Skip("needs a second CPU for sampling under load")
 	}
-	p := testProfiler(t, Config{
-		Types:       []string{TypeCPU},
-		CPUDuration: 400 * time.Millisecond,
-	})
+	p := testProfiler(t, Config{Interval: 800 * time.Millisecond})
 
 	// Labeled busy work spanning the capture window — the same shape as
 	// the jobs executor's pprof.Do wrapping.
@@ -130,12 +128,7 @@ func TestCPUCaptureCarriesPprofLabels(t *testing.T) {
 
 func TestRunLoopTriggerAndShutdown(t *testing.T) {
 	reg := obs.NewRegistry()
-	p := testProfiler(t, Config{
-		Interval:    time.Hour, // only the initial round and triggers fire
-		CPUDuration: 20 * time.Millisecond,
-		Types:       []string{TypeGoroutine},
-		Registry:    reg,
-	})
+	p := testProfiler(t, Config{Interval: 40 * time.Millisecond, Registry: reg})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() { p.Run(ctx); close(done) }()
@@ -180,19 +173,21 @@ func TestTriggerNeverBlocks(t *testing.T) {
 	nilP.TriggerCPU(ReasonJobStart)
 }
 
+// TestConfigDefaults pins the zero Config's interval and the CPU
+// window rule: min(5s, Interval/2), so rounds never overlap.
 func TestConfigDefaults(t *testing.T) {
-	cfg := Config{}.withDefaults()
-	if cfg.Interval != 60*time.Second || cfg.CPUDuration != 5*time.Second ||
-		cfg.MutexFraction != 5 || cfg.BlockRate != 10_000 || cfg.Store == nil {
-		t.Fatalf("defaults = %+v", cfg)
+	if p := New(Config{}); p.Interval() != 60*time.Second || p.window != 5*time.Second {
+		t.Fatalf("zero Config: interval %v, window %v; want 60s and 5s", p.Interval(), p.window)
 	}
-	if len(cfg.Types) != 5 {
-		t.Fatalf("default types = %v", cfg.Types)
-	}
-	// CPU window can never exceed half the interval.
-	clamped := Config{Interval: time.Second, CPUDuration: 10 * time.Second}.withDefaults()
-	if clamped.CPUDuration != 500*time.Millisecond {
-		t.Fatalf("CPUDuration not clamped: %v", clamped.CPUDuration)
+	for _, c := range []struct{ interval, window time.Duration }{
+		{time.Second, 500 * time.Millisecond},
+		{10 * time.Second, 5 * time.Second},
+		{20 * time.Second, 5 * time.Second},
+		{time.Hour, 5 * time.Second},
+	} {
+		if got := New(Config{Interval: c.interval}).window; got != c.window {
+			t.Fatalf("interval %v: window %v, want %v", c.interval, got, c.window)
+		}
 	}
 }
 

@@ -45,7 +45,7 @@ func TestParseRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Parse(gz=%v): %v", gz, err)
 		}
-		if len(got.SampleTypes) != 2 || got.SampleTypes[1] != (ValueType{Type: "inuse_space", Unit: "bytes"}) {
+		if len(got.SampleTypes) != 2 || got.SampleTypes[1] != (profile.ValueType{Type: "inuse_space", Unit: "bytes"}) {
 			t.Fatalf("sample types = %+v", got.SampleTypes)
 		}
 		if got.DefaultSampleType != "inuse_space" {
@@ -111,10 +111,10 @@ func TestParseRejectsGarbage(t *testing.T) {
 }
 
 func TestDiffHeap(t *testing.T) {
-	mk := func(growBytes int64) *Parsed {
-		return &Parsed{
-			SampleTypes: []ValueType{{Type: "inuse_objects", Unit: "count"}, {Type: "inuse_space", Unit: "bytes"}},
-			Samples: []ParsedSample{
+	mk := func(growBytes int64) *profile.Parsed {
+		return &profile.Parsed{
+			SampleTypes: []profile.ValueType{{Type: "inuse_objects", Unit: "count"}, {Type: "inuse_space", Unit: "bytes"}},
+			Samples: []profile.ParsedSample{
 				{Stack: []string{"grow", "main"}, Values: []int64{10, 1000 + growBytes}},
 				{Stack: []string{"steady", "main"}, Values: []int64{5, 500}},
 				{Stack: []string{"shrink", "main"}, Values: []int64{2, 200 - growBytes/10}},
@@ -153,14 +153,14 @@ func TestDiffHeap(t *testing.T) {
 	}
 
 	// Mismatched sample types refuse to diff.
-	bad := &Parsed{SampleTypes: []ValueType{{Type: "samples", Unit: "count"}}}
+	bad := &profile.Parsed{SampleTypes: []profile.ValueType{{Type: "samples", Unit: "count"}}}
 	if _, err := DiffHeap(bad, to, 0); err == nil {
 		t.Fatal("sample-type mismatch accepted")
 	}
 }
 
 func TestDiffHeapRealSnapshots(t *testing.T) {
-	snap := func() *Parsed {
+	snap := func() *profile.Parsed {
 		var buf bytes.Buffer
 		if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {
 			t.Fatalf("WriteTo: %v", err)

@@ -16,8 +16,8 @@ import (
 // window gzips to tens of kilobytes, so 64 MiB holds days of routine
 // capture.
 const (
-	DefaultCaptureCap = 256
-	DefaultByteCap    = 64 << 20
+	maxCaptures = 256
+	maxBytes    = 64 << 20
 )
 
 // Capture is one stored profile: the raw pprof bytes (gzipped
@@ -41,10 +41,10 @@ type Capture struct {
 	// Size is len(Bytes), echoed in listings so an operator sees cost
 	// before downloading.
 	Size int `json:"size_bytes"`
-	// Jobs holds the ids of jobs executing while the capture ran — the
-	// join key into /runs, the structured logs and the trace store. A
-	// CPU capture listing a job here is sliceable to that job with
-	// `go tool pprof -tagfocus job_id=<id>`.
+	// Jobs holds the ids of jobs that executed between the start of the
+	// capture's round and End — the join key into /runs, the structured
+	// logs and the trace store. A CPU capture listing a job here is
+	// sliceable to that job with `go tool pprof -tagfocus job_id=<id>`.
 	Jobs []string `json:"jobs,omitempty"`
 
 	// Bytes is the profile payload; omitted from listings (the
@@ -75,15 +75,11 @@ type Store struct {
 	stats    StoreStats
 }
 
-// NewStore returns a store retaining up to captureCap captures and
-// byteCap total payload bytes (0 selects the defaults).
-func NewStore(captureCap int, byteCap int64) *Store {
-	if captureCap <= 0 {
-		captureCap = DefaultCaptureCap
-	}
-	if byteCap <= 0 {
-		byteCap = DefaultByteCap
-	}
+// NewStore returns a store retaining up to 256 captures and 64 MiB of
+// payload.
+func NewStore() *Store { return newStore(maxCaptures, maxBytes) }
+
+func newStore(captureCap int, byteCap int64) *Store {
 	return &Store{captures: obs.NewRetention[string, *Capture](captureCap, byteCap)}
 }
 

@@ -12,7 +12,7 @@ func mkcap(t, reason string, jobs []string, payload string) Capture {
 }
 
 func TestStoreContentAddress(t *testing.T) {
-	s := NewStore(0, 0)
+	s := NewStore()
 	id1 := s.Add(mkcap(TypeHeap, ReasonInterval, nil, "payload-a"))
 	id2 := s.Add(mkcap(TypeHeap, ReasonInterval, nil, "payload-b"))
 	if id1 == id2 {
@@ -31,7 +31,7 @@ func TestStoreContentAddress(t *testing.T) {
 }
 
 func TestStoreDedupStrengthensRetention(t *testing.T) {
-	s := NewStore(0, 0)
+	s := NewStore()
 	id := s.Add(mkcap(TypeHeap, ReasonInterval, nil, "same-bytes"))
 	// Re-capture of identical bytes under a watchdog trigger: one copy
 	// kept, metadata upgraded to the protected reason.
@@ -55,7 +55,7 @@ func TestStoreDedupStrengthensRetention(t *testing.T) {
 }
 
 func TestStoreEvictsOldestUnprotected(t *testing.T) {
-	s := NewStore(4, 0)
+	s := newStore(4, 0)
 	protectedID := s.Add(mkcap(TypeCPU, ReasonJobStart, []string{"run-1"}, "p0"))
 	routine1 := s.Add(mkcap(TypeCPU, ReasonInterval, nil, "p1"))
 	routine2 := s.Add(mkcap(TypeCPU, ReasonInterval, nil, "p2"))
@@ -77,7 +77,7 @@ func TestStoreEvictsOldestUnprotected(t *testing.T) {
 }
 
 func TestStoreEvictsOldestWhenAllProtected(t *testing.T) {
-	s := NewStore(2, 0)
+	s := newStore(2, 0)
 	first := s.Add(mkcap(TypeCPU, ReasonJobStart, []string{"a"}, "q0"))
 	s.Add(mkcap(TypeCPU, ReasonJobStart, []string{"b"}, "q1"))
 	newest := s.Add(mkcap(TypeCPU, ReasonJobStart, []string{"c"}, "q2"))
@@ -90,7 +90,7 @@ func TestStoreEvictsOldestWhenAllProtected(t *testing.T) {
 }
 
 func TestStoreByteCap(t *testing.T) {
-	s := NewStore(100, 10)
+	s := newStore(100, 10)
 	a := s.Add(mkcap(TypeHeap, ReasonInterval, nil, "aaaaaa")) // 6 bytes
 	b := s.Add(mkcap(TypeHeap, ReasonInterval, nil, "bbbbbb")) // 12 total → evict a
 	if _, ok := s.Get(a); ok {
@@ -111,7 +111,7 @@ func TestStoreByteCap(t *testing.T) {
 }
 
 func TestStoreListFilters(t *testing.T) {
-	s := NewStore(0, 0)
+	s := NewStore()
 	for i := 0; i < 3; i++ {
 		s.Add(mkcap(TypeHeap, ReasonInterval, nil, fmt.Sprintf("h%d", i)))
 	}

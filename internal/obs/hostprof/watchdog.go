@@ -15,64 +15,30 @@ const (
 	SignalGCPause    = "gc_pause"
 )
 
-// WatchdogConfig tunes the anomaly watchdog. The zero value enables
-// every signal with the defaults below.
-type WatchdogConfig struct {
-	// Disabled turns the watchdog off entirely.
-	Disabled bool
-	// Interval is the check cadence (default 10s).
-	Interval time.Duration
-	// GoroutineFactor fires SignalGoroutines when the goroutine count
-	// exceeds this multiple of its exponential moving baseline
-	// (default 2.0). GoroutineMin gates small-process noise: counts
-	// below it never fire (default 200).
-	GoroutineFactor float64
-	GoroutineMin    int
-	// HeapGrowthStreak fires SignalHeap after this many consecutive
-	// readings whose HeapAlloc each grew by at least HeapGrowthMin
-	// bytes (defaults 5 and 8 MiB). Monotonic growth across readings —
-	// spanning GC cycles — is what distinguishes a leak from churn.
-	HeapGrowthStreak int
-	HeapGrowthMin    uint64
-	// GCPauseNs fires SignalGCPause when any stop-the-world pause since
-	// the previous reading exceeds it (default 50ms).
-	GCPauseNs float64
-	// Cooldown is the minimum gap between two firings of the same
-	// signal (default 2m), so a persistent anomaly yields a few
-	// captures, not a capture per check.
-	Cooldown time.Duration
-}
-
-func (c WatchdogConfig) withDefaults() WatchdogConfig {
-	if c.Interval <= 0 {
-		c.Interval = 10 * time.Second
-	}
-	if c.GoroutineFactor <= 1 {
-		c.GoroutineFactor = 2.0
-	}
-	if c.GoroutineMin <= 0 {
-		c.GoroutineMin = 200
-	}
-	if c.HeapGrowthStreak <= 0 {
-		c.HeapGrowthStreak = 5
-	}
-	if c.HeapGrowthMin == 0 {
-		c.HeapGrowthMin = 8 << 20
-	}
-	if c.GCPauseNs <= 0 {
-		c.GCPauseNs = 50e6
-	}
-	if c.Cooldown <= 0 {
-		c.Cooldown = 2 * time.Minute
-	}
-	return c
-}
+// Watchdog thresholds. The check runs every watchdogInterval.
+// SignalGoroutines fires when the goroutine count is at least
+// goroutineFactor times its exponential moving baseline and at least
+// goroutineMin (small processes are noise). SignalHeap fires after
+// heapGrowthStreak consecutive readings whose HeapAlloc each grew by
+// at least heapGrowthMin bytes: monotonic growth across readings —
+// spanning GC cycles — is what distinguishes a leak from churn.
+// SignalGCPause fires when any stop-the-world pause since the previous
+// reading exceeds gcPauseNs. A signal fires at most once per
+// watchdogCooldown, so a persistent anomaly yields a few captures, not
+// a capture per check.
+const (
+	watchdogInterval = 10 * time.Second
+	goroutineFactor  = 2.0
+	goroutineMin     = 200
+	heapGrowthStreak = 5
+	heapGrowthMin    = 8 << 20
+	gcPauseNs        = 50e6
+	watchdogCooldown = 2 * time.Minute
+)
 
 // watchdog holds the detector state. It is driven single-threaded from
 // the profiler loop (or a test), one observe per reading.
 type watchdog struct {
-	cfg WatchdogConfig
-
 	seeded       bool
 	emaGoroutine float64
 	lastHeap     uint64
@@ -81,8 +47,8 @@ type watchdog struct {
 	lastFired    map[string]time.Time
 }
 
-func newWatchdog(cfg WatchdogConfig) *watchdog {
-	return &watchdog{cfg: cfg.withDefaults(), lastFired: map[string]time.Time{}}
+func newWatchdog() *watchdog {
+	return &watchdog{lastFired: map[string]time.Time{}}
 }
 
 // observe folds one reading into the detector state and returns the
@@ -101,27 +67,27 @@ func (w *watchdog) observe(r Reading) []string {
 
 	// Goroutine spike: compare against the baseline *before* folding
 	// the spike in, or the spike would raise its own bar.
-	if r.Goroutines >= w.cfg.GoroutineMin &&
-		float64(r.Goroutines) >= w.cfg.GoroutineFactor*w.emaGoroutine {
+	if r.Goroutines >= goroutineMin &&
+		float64(r.Goroutines) >= goroutineFactor*w.emaGoroutine {
 		fired = w.fire(fired, SignalGoroutines, r.At)
 	}
 	w.emaGoroutine = 0.8*w.emaGoroutine + 0.2*float64(r.Goroutines)
 
 	// Sustained heap growth.
-	if r.HeapAlloc >= w.lastHeap+w.cfg.HeapGrowthMin {
+	if r.HeapAlloc >= w.lastHeap+heapGrowthMin {
 		w.heapStreak++
 	} else {
 		w.heapStreak = 0
 	}
 	w.lastHeap = r.HeapAlloc
-	if w.heapStreak >= w.cfg.HeapGrowthStreak {
+	if w.heapStreak >= heapGrowthStreak {
 		w.heapStreak = 0
 		fired = w.fire(fired, SignalHeap, r.At)
 	}
 
 	// GC pause outlier.
 	for _, p := range r.PauseNs {
-		if p > w.cfg.GCPauseNs {
+		if p > gcPauseNs {
 			fired = w.fire(fired, SignalGCPause, r.At)
 			break
 		}
@@ -132,7 +98,7 @@ func (w *watchdog) observe(r Reading) []string {
 // fire appends signal unless it is still cooling down (per signal,
 // clocked off the reading's own timestamp so tests need no sleeps).
 func (w *watchdog) fire(fired []string, signal string, at time.Time) []string {
-	if last, ok := w.lastFired[signal]; ok && at.Sub(last) < w.cfg.Cooldown {
+	if last, ok := w.lastFired[signal]; ok && at.Sub(last) < watchdogCooldown {
 		return fired
 	}
 	w.lastFired[signal] = at

@@ -61,12 +61,12 @@ import (
 	"github.com/moatlab/melody/internal/obs/svclog"
 )
 
-// Default caps. Manifests from the paper's sweeps are hundreds of
+// Retention caps. Manifests from the paper's sweeps are hundreds of
 // kilobytes; 512 entries / 1 GiB holds months of routine runs while
 // keeping the worst-case directory scan trivial.
 const (
-	DefaultMaxEntries = 512
-	DefaultMaxBytes   = 1 << 30
+	maxEntries = 512
+	maxBytes   = 1 << 30
 )
 
 // ErrUnknownRef marks a Pin whose reference names no stored entry.
@@ -137,10 +137,6 @@ type Stats struct {
 
 // Options configures Open.
 type Options struct {
-	// MaxEntries/MaxBytes bound retention (0 selects the defaults;
-	// negative means unbounded).
-	MaxEntries int
-	MaxBytes   int64
 	// Registry receives the ledger/* instruments (nil = uninstrumented).
 	Registry *obs.Registry
 	// Log receives operational lines — recovery, quarantine, eviction
@@ -176,13 +172,12 @@ type Ledger struct {
 // tolerant: a truncated journal tail is dropped and counted, entries
 // whose object file vanished are dropped with an integrity bump, and
 // the journal is compacted to a clean snapshot before Open returns.
+// The ledger retains up to 512 entries and 1 GiB of manifests.
 func Open(dir string, opt Options) (*Ledger, error) {
-	if opt.MaxEntries == 0 {
-		opt.MaxEntries = DefaultMaxEntries
-	}
-	if opt.MaxBytes == 0 {
-		opt.MaxBytes = DefaultMaxBytes
-	}
+	return openCapped(dir, opt, maxEntries, maxBytes)
+}
+
+func openCapped(dir string, opt Options, entryCap int, byteCap int64) (*Ledger, error) {
 	log := opt.Log
 	if log == nil {
 		log = svclog.Discard()
@@ -202,7 +197,7 @@ func Open(dir string, opt Options) (*Ledger, error) {
 		entriesG:   opt.Registry.Gauge("ledger/entries"),
 		bytesG:     opt.Registry.Gauge("ledger/bytes"),
 		baselinesG: opt.Registry.Gauge("ledger/baselines"),
-		runs:       obs.NewRetention[string, *Entry](opt.MaxEntries, opt.MaxBytes),
+		runs:       obs.NewRetention[string, *Entry](entryCap, byteCap),
 		baselines:  map[string]Baseline{},
 	}
 	if err := l.replay(); err != nil {

@@ -24,7 +24,13 @@ func addr(n int) string { return fmt.Sprintf("sha256:addr%04d", n) }
 
 func open(t *testing.T, dir string, opt Options) *Ledger {
 	t.Helper()
-	l, err := Open(dir, opt)
+	return openCaps(t, dir, opt, maxEntries, maxBytes)
+}
+
+// openCaps is open with retention caps below the production ones.
+func openCaps(t *testing.T, dir string, opt Options, entryCap int, byteCap int64) *Ledger {
+	t.Helper()
+	l, err := openCapped(dir, opt, entryCap, byteCap)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -206,7 +212,7 @@ func TestMissingObjectDroppedOnOpen(t *testing.T) {
 // TestEvictionProtectsPinnedBaselines: over the entry cap the oldest
 // unpinned entry goes; a pinned baseline is never the victim.
 func TestEvictionProtectsPinnedBaselines(t *testing.T) {
-	l := open(t, t.TempDir(), Options{MaxEntries: 3})
+	l := openCaps(t, t.TempDir(), Options{}, 3, maxBytes)
 	put(t, l, 1)
 	put(t, l, 2)
 	if _, err := l.Pin("golden", hash(1)); err != nil {
@@ -236,7 +242,7 @@ func TestEvictionProtectsPinnedBaselines(t *testing.T) {
 }
 
 func TestByteCapEviction(t *testing.T) {
-	l := open(t, t.TempDir(), Options{MaxBytes: 100})
+	l := openCaps(t, t.TempDir(), Options{}, maxEntries, 100)
 	put(t, l, 1) // ~40 bytes each
 	put(t, l, 2)
 	put(t, l, 3)

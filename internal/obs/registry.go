@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"encoding/json"
 	"maps"
 	"math"
 	"sync"
@@ -162,11 +161,6 @@ func (r *Registry) instruments() (map[string]*Counter, map[string]*Gauge, map[st
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists)
-}
-
-// MarshalJSON dumps the registry as a Snapshot.
-func (r *Registry) MarshalJSON() ([]byte, error) {
-	return json.Marshal(r.Snapshot())
 }
 
 // Export is the bucket-granularity counterpart of Snapshot, consumed by

@@ -79,11 +79,11 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Record(float64(i))
 	}
-	a, err := json.Marshal(r)
+	a, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(r)
+	b, err := json.Marshal(r.Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,22 +49,15 @@ type Event struct {
 	Delta       float64 `json:"delta,omitempty"`
 }
 
-// Event types published by the engine wiring.
+// Event types only the observatory publishes. Job and experiment
+// event types are internal/jobs' (jobs.EventCell and friends); the
+// run-level /events stream reuses its experiment types.
 const (
-	EventExperimentStart = "experiment_start"
-	EventCell            = "cell"
-	EventExperimentEnd   = "experiment_end"
-	EventRunEnd          = "run_end"
-)
-
-// Event types on per-job streams (beyond the experiment-level ones,
-// which jobs reuse): queue admission, execution start, completion, and
-// the synthetic snapshot a subscriber receives on connect.
-const (
-	EventJobQueued   = "job_queued"
-	EventJobStarted  = "job_started"
-	EventJobFinished = "job_finished"
-	EventJobStatus   = "status"
+	// EventRunEnd closes a run on the run-level /events stream.
+	EventRunEnd = "run_end"
+	// EventJobStatus is the synthetic snapshot a per-job subscriber
+	// receives on connect.
+	EventJobStatus = "status"
 	// EventRegression announces a finished run that regressed against a
 	// pinned baseline. It is published on the job's stream *before*
 	// job_finished (so per-job subscribers see it before their stream
@@ -72,10 +65,10 @@ const (
 	EventRegression = "regression"
 )
 
-// DefaultQueueCap bounds each subscriber's pending-event queue. 256
-// events outlive any realistic scrape hiccup, yet cap the worst-case
+// queueCap bounds each subscriber's pending-event queue. 256 events
+// outlive any realistic scrape hiccup, yet cap the worst-case
 // per-client memory at a few tens of kilobytes.
-const DefaultQueueCap = 256
+const queueCap = 256
 
 // Hub fans events out to subscribers without ever blocking the
 // publisher: each subscriber owns a bounded queue and a full queue
@@ -92,12 +85,9 @@ type Hub struct {
 	seq  uint64
 }
 
-// NewHub returns a hub with per-subscriber queues of queueCap events
-// (0 = DefaultQueueCap). published/dropped may be nil.
-func NewHub(queueCap int, published, dropped *obs.Counter) *Hub {
-	if queueCap <= 0 {
-		queueCap = DefaultQueueCap
-	}
+// NewHub returns a hub with per-subscriber queues of 256 events.
+// published/dropped may be nil.
+func NewHub(published, dropped *obs.Counter) *Hub {
 	return &Hub{
 		queueCap:  queueCap,
 		published: published,

@@ -5,19 +5,21 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/obs"
 )
 
 func TestHubDropOldest(t *testing.T) {
 	reg := obs.NewRegistry()
 	dropped := reg.Counter("dropped")
-	h := NewHub(8, reg.Counter("published"), dropped)
+	h := NewHub(reg.Counter("published"), dropped)
+	h.queueCap = 8
 	sub := h.Subscribe()
 	defer h.Unsubscribe(sub)
 
 	// A wedged client: 100 events arrive while it drains nothing.
 	for i := 0; i < 100; i++ {
-		h.Publish(Event{Type: EventCell})
+		h.Publish(Event{Type: jobs.EventCell})
 	}
 	if got := dropped.Value(); got != 92 {
 		t.Fatalf("dropped = %d, want 92 (100 published into a queue of 8)", got)
@@ -46,10 +48,11 @@ func TestHubPublishNeverBlocks(t *testing.T) {
 	const n, capacity = 50_000, 4
 	reg := obs.NewRegistry()
 	published, dropped := reg.Counter("published"), reg.Counter("dropped")
-	h := NewHub(capacity, published, dropped)
+	h := NewHub(published, dropped)
+	h.queueCap = capacity
 	subs := []*Subscriber{h.Subscribe(), h.Subscribe()}
 	for i := 0; i < n; i++ {
-		h.Publish(Event{Type: EventCell, Done: i})
+		h.Publish(Event{Type: jobs.EventCell, Done: i})
 	}
 	if got := published.Value(); got != n {
 		t.Fatalf("published = %d, want %d", got, n)
@@ -75,10 +78,10 @@ func TestHubPublishNeverBlocks(t *testing.T) {
 }
 
 func TestHubSequenceMonotone(t *testing.T) {
-	h := NewHub(0, nil, nil)
+	h := NewHub(nil, nil)
 	sub := h.Subscribe()
 	for i := 0; i < 5; i++ {
-		h.Publish(Event{Type: EventCell})
+		h.Publish(Event{Type: jobs.EventCell})
 	}
 	evs, _ := sub.Next(context.Background())
 	for i := 1; i < len(evs); i++ {
@@ -89,7 +92,7 @@ func TestHubSequenceMonotone(t *testing.T) {
 }
 
 func TestSubscriberNextCancel(t *testing.T) {
-	h := NewHub(0, nil, nil)
+	h := NewHub(nil, nil)
 	sub := h.Subscribe()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan bool)
@@ -109,7 +112,7 @@ func TestSubscriberNextCancel(t *testing.T) {
 }
 
 func TestUnsubscribeStopsDelivery(t *testing.T) {
-	h := NewHub(0, nil, nil)
+	h := NewHub(nil, nil)
 	sub := h.Subscribe()
 	h.Unsubscribe(sub)
 	h.Publish(Event{Type: EventRunEnd})
@@ -123,5 +126,5 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 
 func TestNilHubPublish(t *testing.T) {
 	var h *Hub
-	h.Publish(Event{Type: EventCell}) // must not panic
+	h.Publish(Event{Type: jobs.EventCell}) // must not panic
 }

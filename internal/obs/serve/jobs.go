@@ -29,9 +29,8 @@ import (
 // merged into an engine registry, so attaching the job API cannot
 // perturb any run's manifest.
 type jobAPI struct {
-	mgr      *jobs.Manager
-	srv      *Server
-	queueCap int // per-subscriber SSE queue bound
+	mgr *jobs.Manager
+	srv *Server
 
 	submits     *obs.Counter
 	accepted    *obs.Counter
@@ -59,7 +58,6 @@ func (s *Server) AttachJobs(mgr *jobs.Manager) {
 	api := &jobAPI{
 		mgr:         mgr,
 		srv:         s,
-		queueCap:    s.JobEventQueueCap,
 		submits:     s.self.Counter("serve/jobs_submitted"),
 		accepted:    s.self.Counter("serve/jobs_accepted"),
 		cacheHits:   s.self.Counter("serve/jobs_cache_hits"),
@@ -80,7 +78,7 @@ func (a *jobAPI) hub(jobID string) *Hub {
 	defer a.mu.Unlock()
 	h, ok := a.hubs[jobID]
 	if !ok {
-		h = NewHub(a.queueCap, a.published, a.dropped)
+		h = NewHub(a.published, a.dropped)
 		a.hubs[jobID] = h
 	}
 	return h
@@ -282,5 +280,5 @@ func (a *jobAPI) events(w http.ResponseWriter, r *http.Request) {
 		}
 		fmt.Fprintf(w, "event: %s\ndata: %s\n\n", EventJobStatus, data)
 		return !st.State.Terminal()
-	}, EventJobFinished)
+	}, jobs.EventFinished)
 }

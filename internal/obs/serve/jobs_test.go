@@ -205,10 +205,10 @@ func TestDuplicateSpecCacheHit(t *testing.T) {
 func TestJobEventsSeqGapUnderSlowClient(t *testing.T) {
 	mgr := jobs.New((&fakeExec{}).exec, 4)
 	s := New(nil, nil)
-	s.JobEventQueueCap = 2
 	s.AttachJobs(mgr)
 
 	hub := s.jobs.hub("run-000001")
+	hub.queueCap = 2
 	sub := hub.Subscribe()
 	defer hub.Unsubscribe(sub)
 
@@ -278,7 +278,7 @@ func TestJobEventsStream(t *testing.T) {
 			break
 		}
 		events = append(events, ev)
-		if ev == EventJobFinished {
+		if ev == jobs.EventFinished {
 			break
 		}
 	}
@@ -286,7 +286,7 @@ func TestJobEventsStream(t *testing.T) {
 		t.Fatal("no snapshot frame")
 	}
 	joined := strings.Join(events, ",")
-	for _, want := range []string{EventExperimentStart, EventCell, EventExperimentEnd, EventJobFinished} {
+	for _, want := range []string{jobs.EventExperimentStart, jobs.EventCell, jobs.EventExperimentEnd, jobs.EventFinished} {
 		if !strings.Contains(joined, want) {
 			t.Fatalf("stream missing %s (saw %s)", want, joined)
 		}

@@ -28,12 +28,13 @@ import (
 	"strconv"
 
 	"github.com/moatlab/melody/internal/obs/hostprof"
+	"github.com/moatlab/melody/internal/obs/profile"
 	"github.com/moatlab/melody/internal/obs/svclog"
 )
 
 // AttachProfiler mounts p's capture store as the /profiles API and
 // routes job-started events into immediate CPU captures (call before
-// Handler/Start; the profiler's Run loop is the caller's to drive).
+// Handler/Start). Start runs p's loop; Running.Close stops it.
 func (s *Server) AttachProfiler(p *hostprof.Profiler) { s.prof = p }
 
 // Profiler returns the attached profiler (nil when profiling is off).
@@ -89,7 +90,7 @@ func (s *Server) profileHeapDelta(w http.ResponseWriter, r *http.Request) {
 	if !queryNum(w, r, "rows", &rows, 1, "a positive integer") {
 		return
 	}
-	load := func(id string) (*hostprof.Parsed, *hostprof.Capture, error) {
+	load := func(id string) (*profile.Parsed, *hostprof.Capture, error) {
 		c, ok := s.prof.Store().Get(id)
 		if !ok {
 			return nil, nil, fmt.Errorf("unknown profile id %q", id)

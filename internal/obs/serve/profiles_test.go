@@ -11,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moatlab/melody/internal/jobs"
+	"github.com/moatlab/melody/internal/melody/spec"
 	"github.com/moatlab/melody/internal/obs/hostprof"
 )
 
@@ -21,10 +23,8 @@ func profiledServer(t *testing.T, debugPprof bool) (*Server, *hostprof.Profiler,
 	s := New(nil, nil)
 	s.DebugPprof = debugPprof
 	p := hostprof.New(hostprof.Config{
-		CPUDuration: 20 * time.Millisecond,
-		Registry:    s.SelfRegistry(),
-		ActiveJobs:  func() []string { return []string{"run-000009"} },
-		Watchdog:    hostprof.WatchdogConfig{Disabled: true},
+		Registry:   s.SelfRegistry(),
+		JobsDuring: func(from, to time.Time) []string { return []string{"run-000009"} },
 	})
 	s.AttachProfiler(p)
 	ts := httptest.NewServer(s.Handler())
@@ -258,4 +258,92 @@ func TestProfilerSelfMetricsOnScrape(t *testing.T) {
 			t.Fatalf("/metrics missing %q", want)
 		}
 	}
+}
+
+// TestProfilesListJobInsideWindow pins capture stamping for a job that
+// starts and finishes inside one capture window: it runs 10 ms → 20 ms
+// into a round's 500 ms CPU window, so that window's capture must be
+// listed under /profiles?job_id, though no job was running at either
+// end of it. Should a stalled host start the job only after its
+// window closed, the next round is tried, up to three; the listing
+// check itself is made for every job that started inside a window.
+func TestProfilesListJobInsideWindow(t *testing.T) {
+	started := make(chan time.Time, 3)
+	exec := func(ctx context.Context, sp spec.RunSpec, notify func(jobs.Event)) (jobs.ExecResult, error) {
+		started <- time.Now()
+		time.Sleep(10 * time.Millisecond)
+		return (&fakeExec{}).exec(ctx, sp, notify)
+	}
+	mgr := jobs.New(exec, 4)
+	s := New(nil, nil)
+	s.AttachJobs(mgr)
+	// A 1 s interval gives each round a 500 ms CPU window.
+	p := hostprof.New(hostprof.Config{Interval: time.Second, JobsDuring: mgr.JobsDuring})
+	s.AttachProfiler(p)
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	mgrDone := make(chan struct{})
+	go func() { mgr.Run(ctx); close(mgrDone) }()
+	defer func() { cancel(); <-mgrDone }()
+	pctx, stop := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { p.Run(pctx); close(done) }()
+	defer func() { stop(); <-done }()
+
+	// waitFor polls until the store holds more than n routine captures
+	// of typ (newest first) whose last one satisfies ok.
+	waitFor := func(typ string, n int, ok func(hostprof.Capture) bool) []hostprof.Capture {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			list := p.Store().List(hostprof.Filter{Type: typ, Reason: hostprof.ReasonInterval})
+			if len(list) > n && ok(list[0]) {
+				return list
+			}
+		}
+		t.Fatalf("no new %s capture within 5s", typ)
+		return nil
+	}
+	anyCapture := func(hostprof.Capture) bool { return true }
+	for attempt := 1; attempt <= 3; attempt++ {
+		// A round opens its CPU window right after storing its goroutine
+		// snapshot; submit 10 ms into the window of the next round.
+		seen := len(p.Store().List(hostprof.Filter{Type: hostprof.TypeGoroutine, Reason: hostprof.ReasonInterval}))
+		waitFor(hostprof.TypeGoroutine, seen, anyCapture)
+		time.Sleep(10 * time.Millisecond)
+		_, st := postSpec(t, ts.URL, specN(attempt))
+		jobStart := <-started
+		waitState(t, ts.URL, st.ID, jobs.StateDone)
+		var cpu *hostprof.Capture
+		for _, c := range waitFor(hostprof.TypeCPU, 0, func(c hostprof.Capture) bool { return !c.End.Before(jobStart) }) {
+			if !jobStart.Before(c.Start) && !jobStart.After(c.End) {
+				cpu = &c
+				break
+			}
+		}
+		if cpu == nil {
+			t.Logf("attempt %d: the job started at %v, outside every CPU window", attempt, jobStart)
+			continue
+		}
+
+		var listing struct {
+			Profiles []hostprof.Capture `json:"profiles"`
+		}
+		body, resp := get(t, ts.URL+"/profiles?type=cpu&job_id="+st.ID)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /profiles?job_id = %d", resp.StatusCode)
+		}
+		if err := json.Unmarshal([]byte(body), &listing); err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range listing.Profiles {
+			if c.ID == cpu.ID {
+				return
+			}
+		}
+		t.Fatalf("/profiles?job_id=%s lists %d CPU captures, none the window the job started inside (%s)",
+			st.ID, len(listing.Profiles), cpu.ID)
+	}
+	t.Fatal("no job started inside a CPU window in 3 rounds")
 }

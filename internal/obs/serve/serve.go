@@ -52,6 +52,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -102,10 +103,6 @@ type Server struct {
 	// observatory process.
 	crossreg *obs.Registry
 
-	// JobEventQueueCap overrides the per-client queue bound on per-job
-	// SSE streams (0 = DefaultQueueCap). Set before AttachJobs.
-	JobEventQueueCap int
-
 	// DebugPprof mounts the standard /debug/pprof/* handlers on the
 	// observatory mux (off by default: live profiling of a shared
 	// observatory is opt-in). Set before Handler/Start.
@@ -143,9 +140,9 @@ func New(registry *obs.Registry, progress func() any) *Server {
 		compareRegr:    self.Counter("compare/regressions_reported"),
 		baselineChecks: self.Counter("compare/baseline_checks"),
 		inflight:       self.Gauge("http/in_flight"),
-		tracer:         tracespan.NewTracer(tracespan.NewStore(0, 0)),
+		tracer:         tracespan.NewTracer(tracespan.NewStore()),
 	}
-	s.hub = NewHub(0, self.Counter("serve/events_published"), self.Counter("serve/events_dropped"))
+	s.hub = NewHub(self.Counter("serve/events_published"), self.Counter("serve/events_dropped"))
 	return s
 }
 
@@ -427,19 +424,38 @@ func writeJSONStatus(w http.ResponseWriter, code int, v any) {
 type Running struct {
 	ln  net.Listener
 	srv *http.Server
+	// stopProf cancels the attached profiler's loop and waits for it
+	// (nil without one).
+	stopProf func()
 }
 
 // Addr returns the bound listen address (useful with ":0").
 func (r *Running) Addr() net.Addr { return r.ln.Addr() }
 
-// Close shuts the server down immediately, dropping open SSE streams.
-func (r *Running) Close() error { return r.srv.Close() }
+// Close stops the attached profiler, waiting for an in-flight capture
+// window to drain, then shuts the server down immediately, dropping
+// open SSE streams.
+func (r *Running) Close() error {
+	if r.stopProf != nil {
+		r.stopProf()
+	}
+	return r.srv.Close()
+}
 
-// Start listens on addr and serves the observatory in the background.
-// Listening is synchronous so a bad address fails before the run
-// starts, mirroring the -pprof flag's fail-fast contract.
+// Start listens on addr and serves the observatory in the background,
+// running the attached profiler (if any) until Close. Listening is
+// synchronous so a bad address fails before the run starts, mirroring
+// the -pprof flag's fail-fast contract.
 func (s *Server) Start(addr string) (*Running, error) {
-	return listen(addr, "observatory", s.Handler(), s.log)
+	run, err := listen(addr, "observatory", s.Handler(), s.log)
+	if err != nil || s.prof == nil {
+		return run, err
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { s.prof.Run(ctx); close(done) }()
+	run.stopProf = func() { cancel(); <-done }
+	return run, nil
 }
 
 // listen binds addr synchronously and serves h in the background; name

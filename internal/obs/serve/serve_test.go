@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/obs/tracespan"
 )
@@ -140,8 +141,8 @@ func TestEventsSSEStream(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Hub().Publish(Event{Type: EventExperimentStart, Experiment: "fig5", Title: "Latency-bandwidth curves"})
-	s.Hub().Publish(Event{Type: EventCell, Experiment: "fig5", Done: 1, Total: 10})
+	s.Hub().Publish(Event{Type: jobs.EventExperimentStart, Experiment: "fig5", Title: "Latency-bandwidth curves"})
+	s.Hub().Publish(Event{Type: jobs.EventCell, Experiment: "fig5", Done: 1, Total: 10})
 
 	r := bufio.NewReader(resp.Body)
 	var lines []string
@@ -194,7 +195,7 @@ func TestSlowEventsClientSeesDrops(t *testing.T) {
 	// beyond queue capacity + buffering is dropped oldest-first.
 	const published = 200_000
 	for i := 0; i < published; i++ {
-		s.Hub().Publish(Event{Type: EventCell, Experiment: "fig5", Done: i, Total: published,
+		s.Hub().Publish(Event{Type: jobs.EventCell, Experiment: "fig5", Done: i, Total: published,
 			Title: strings.Repeat("x", 64)})
 	}
 

@@ -8,15 +8,15 @@ import (
 	"github.com/moatlab/melody/internal/obs"
 )
 
-// Store bounds. DefaultTraceCap is sized like the jobs queue: deep
-// enough that every trace of a debugging session is still there,
-// small enough that the store is always negligible next to one run's
-// manifest. DefaultSpanCap bounds one trace's spans — a full Sweep48
-// run is ~150 cells, so 4096 leaves generous headroom while a runaway
-// producer cannot grow a trace without bound.
+// Store bounds. maxTraces is sized like the jobs queue: deep enough
+// that every trace of a debugging session is still there, small enough
+// that the store is always negligible next to one run's manifest.
+// maxSpans bounds one trace's spans — a full Sweep48 run is ~150
+// cells, so 4096 leaves generous headroom while a runaway producer
+// cannot grow a trace without bound.
 const (
-	DefaultTraceCap = 256
-	DefaultSpanCap  = 4096
+	maxTraces = 256
+	maxSpans  = 4096
 )
 
 // slowFrac is the fraction of the store reserved for the slowest
@@ -62,15 +62,11 @@ type traceEntry struct {
 
 func (e *traceEntry) duration() time.Duration { return e.end.Sub(e.start) }
 
-// NewStore returns a store retaining up to traceCap traces of up to
-// spanCap spans each (0 selects the defaults).
-func NewStore(traceCap, spanCap int) *Store {
-	if traceCap <= 0 {
-		traceCap = DefaultTraceCap
-	}
-	if spanCap <= 0 {
-		spanCap = DefaultSpanCap
-	}
+// NewStore returns a store retaining up to 256 traces of up to 4096
+// spans each.
+func NewStore() *Store { return newStore(maxTraces, maxSpans) }
+
+func newStore(traceCap, spanCap int) *Store {
 	return &Store{
 		traceCap: traceCap,
 		spanCap:  spanCap,

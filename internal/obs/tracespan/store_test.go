@@ -25,7 +25,7 @@ func TestStoreTailBiasedEviction(t *testing.T) {
 	// Cap 8 → ceil(8/8) = 1 slowest trace protected. Fill with fast OK
 	// traces, one errored and one slow; overflow must evict the oldest
 	// plain trace and keep the protected pair.
-	st := NewStore(8, 0)
+	st := newStore(8, maxSpans)
 	st.Add(mkSpan(0, time.Millisecond, StatusOK)) // oldest plain: the victim
 	st.Add(mkSpan(1, time.Second, StatusError))   // errored: pinned
 	st.Add(mkSpan(2, time.Hour, StatusOK))        // slowest: pinned
@@ -52,7 +52,7 @@ func TestStoreTailBiasedEviction(t *testing.T) {
 }
 
 func TestStoreEvictsOldestWhenAllProtected(t *testing.T) {
-	st := NewStore(2, 0)
+	st := newStore(2, maxSpans)
 	st.Add(mkSpan(0, time.Second, StatusError))
 	st.Add(mkSpan(1, time.Second, StatusError))
 	st.Add(mkSpan(2, time.Second, StatusError))
@@ -69,7 +69,7 @@ func TestStoreEvictsOldestWhenAllProtected(t *testing.T) {
 // evict the oldest protected trace — never the trace being added,
 // which would orphan every new trace while the stats still count it.
 func TestStoreNeverEvictsJustAddedTrace(t *testing.T) {
-	st := NewStore(2, 0)
+	st := newStore(2, maxSpans)
 	st.Add(mkSpan(0, time.Second, StatusError))
 	st.Add(mkSpan(1, time.Second, StatusError))
 	fresh := mkSpan(2, time.Millisecond, StatusOK) // fast, OK: unprotected
@@ -89,7 +89,7 @@ func TestStoreNeverEvictsJustAddedTrace(t *testing.T) {
 // its trace before the eviction its own arrival triggers, so a later
 // overflow sees the trace as errored (pinned) rather than plain.
 func TestStoreErroredArrivalProtectsItself(t *testing.T) {
-	st := NewStore(2, 0)
+	st := newStore(2, maxSpans)
 	st.Add(mkSpan(0, time.Millisecond, StatusOK))
 	st.Add(mkSpan(1, time.Millisecond, StatusError)) // errored on arrival
 	st.Add(mkSpan(2, time.Millisecond, StatusOK))    // overflow: evicts trace 0
@@ -102,7 +102,7 @@ func TestStoreErroredArrivalProtectsItself(t *testing.T) {
 }
 
 func TestStoreSpanCapDropsAndCounts(t *testing.T) {
-	st := NewStore(0, 2)
+	st := newStore(maxTraces, 2)
 	base := mkSpan(0, time.Millisecond, StatusOK)
 	for i := 0; i < 5; i++ {
 		sd := base
@@ -129,7 +129,7 @@ func TestStoreSpanCapDropsAndCounts(t *testing.T) {
 // otherwise a trace whose failure arrived after the cap would look OK
 // (and fast) to the retention policy and the /traces listing.
 func TestStoreSpanCapDropStillMarksError(t *testing.T) {
-	st := NewStore(0, 1)
+	st := newStore(maxTraces, 1)
 	st.Add(mkSpan(0, time.Millisecond, StatusOK))
 	late := mkSpan(0, time.Hour, StatusError)
 	late.SpanID = "00000000000000ff"
@@ -150,7 +150,7 @@ func TestStoreSpanCapDropStillMarksError(t *testing.T) {
 }
 
 func TestStoreListFiltersAndOrder(t *testing.T) {
-	st := NewStore(0, 0)
+	st := NewStore()
 	st.Add(mkSpan(0, time.Millisecond, StatusOK))
 	st.Add(mkSpan(1, time.Second, StatusError))
 	slow := mkSpan(2, time.Minute, StatusOK)
@@ -183,7 +183,7 @@ func TestStoreListFiltersAndOrder(t *testing.T) {
 }
 
 func TestStoreSummaryPicksEarliestRoot(t *testing.T) {
-	st := NewStore(0, 0)
+	st := NewStore()
 	// Two parentless spans (the real root and an orphan whose parent
 	// was dropped): the summary's Root must be the earliest starter.
 	late := mkSpan(0, time.Millisecond, StatusOK)

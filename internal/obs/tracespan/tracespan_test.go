@@ -96,7 +96,7 @@ func TestParseTraceparentAcceptsFutureVersionSuffix(t *testing.T) {
 }
 
 func TestSpanTreeAcrossComponents(t *testing.T) {
-	store := NewStore(0, 0)
+	store := NewStore()
 	tr := NewTracer(store)
 
 	// HTTP root continuing a remote traceparent.
@@ -201,7 +201,7 @@ func TestNoSpanPathZeroAlloc(t *testing.T) {
 }
 
 func TestEndIdempotent(t *testing.T) {
-	store := NewStore(0, 0)
+	store := NewStore()
 	tr := NewTracer(store)
 	_, sp := tr.StartRoot(context.Background(), "once", SpanContext{})
 	sp.End()
@@ -212,7 +212,7 @@ func TestEndIdempotent(t *testing.T) {
 }
 
 func TestMirrorRendersServiceSpans(t *testing.T) {
-	store := NewStore(0, 0)
+	store := NewStore()
 	tr := NewTracer(store)
 	perf := obs.NewTrace()
 	tr.SetMirror(perf, 3)
