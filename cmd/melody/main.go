@@ -97,6 +97,7 @@ import (
 	"strings"
 	"syscall"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/melody"
 	"github.com/moatlab/melody/internal/melody/spec"
 	"github.com/moatlab/melody/internal/obs"
@@ -157,7 +158,7 @@ func runCmd(args []string) int {
 	warmup := fs.Uint64("warmup", 0, "warmup instructions per run")
 	duration := fs.Float64("duration", 0, "device measurement duration (ns)")
 	seed := fs.Uint64("seed", 1, "simulation seed")
-	jobs := fs.Int("j", 0, "parallel (workload, config) cells (0 = NumCPU)")
+	workers := fs.Int("j", 0, "parallel (workload, config) cells (0 = NumCPU)")
 	quiet := fs.Bool("quiet", false, "suppress live progress lines")
 	outDir := fs.String("out", "", "also write each report to <dir>/<id>.txt")
 	dataDir := fs.String("data-dir", "", "record the finished run in the durable ledger under <dir>/ledger")
@@ -255,7 +256,7 @@ func runCmd(args []string) int {
 		DurationNs:        *duration,
 		SampleEveryCycles: *sampleEvery,
 		Seed:              *seed,
-		Workers:           *jobs,
+		Workers:           *workers,
 		Output:            spec.Output{Reports: true},
 	}
 	if err := melody.VetSpec(sp); err != nil {
@@ -298,17 +299,15 @@ func runCmd(args []string) int {
 	hooks := melody.ExecHooks{
 		Telemetry: tel,
 		Log:       logger,
-		Progress: func(id string, done, total int) {
-			obsv.cell(id, done, total)
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "\r%-8s %d/%d cells", id, done, total)
+		Event: func(ev jobs.Event) {
+			obsv.publish(ev)
+			switch {
+			case ev.Type == jobs.EventCell && !*quiet:
+				fmt.Fprintf(os.Stderr, "\r%-8s %d/%d cells", ev.Experiment, ev.Done, ev.Total)
 				progressing = true
+			case ev.Type == jobs.EventExperimentEnd:
+				clearProgress()
 			}
-		},
-		ExperimentStart: func(id, title string) { obsv.experimentStart(id, title) },
-		ExperimentEnd: func(id string, wallS float64) {
-			obsv.experimentEnd(id, wallS)
-			clearProgress()
 		},
 		ReportDone: func(id string, rep *melody.Report, wallS float64) {
 			fmt.Println(rep.String())
@@ -337,7 +336,7 @@ func runCmd(args []string) int {
 	if out.Interrupted {
 		fmt.Fprintln(os.Stderr, "melody: interrupted; flushing partial artifacts")
 	}
-	obsv.finish(out.Interrupted)
+	obsv.publish(jobs.Event{Type: jobs.EventRunEnd, Interrupted: out.Interrupted})
 	if outErr != nil {
 		fmt.Fprintln(os.Stderr, "melody:", outErr)
 		return 1

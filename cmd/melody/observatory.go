@@ -65,52 +65,29 @@ func startObservatory(addr string, tel *melody.Telemetry, ids []string, log *slo
 	return o, nil
 }
 
-// atMs stamps an event with host milliseconds since the run began.
-func (o *observatory) atMs() int64 { return time.Since(o.start).Milliseconds() }
-
-// experimentStart marks id running and publishes the boundary event.
-func (o *observatory) experimentStart(id, title string) {
+// publish folds ev into the status board and fans it out on /events,
+// stamped with host milliseconds since the run began. After run_end,
+// /progress keeps serving the terminal snapshot until close, so a
+// dashboard sees the run end rather than a dropped socket.
+func (o *observatory) publish(ev jobs.Event) {
 	if o == nil {
 		return
 	}
-	o.status.BeginExperiment(id, title)
-	o.hub.Publish(serve.Event{Type: jobs.EventExperimentStart, AtMs: o.atMs(), Experiment: id, Title: title})
+	o.status.Apply(ev)
+	ev.AtMs = time.Since(o.start).Milliseconds()
+	o.hub.Publish(ev)
 }
 
-// cell records batch progress and publishes a cell event.
-func (o *observatory) cell(id string, done, total int) {
-	if o == nil {
-		return
-	}
-	o.status.CellDone(id, done, total)
-	o.hub.Publish(serve.Event{Type: jobs.EventCell, AtMs: o.atMs(), Experiment: id, Done: done, Total: total})
-}
-
-// experimentEnd marks id done with its wall time.
-func (o *observatory) experimentEnd(id string, wallS float64) {
-	if o == nil {
-		return
-	}
-	o.status.EndExperiment(id, wallS)
-	o.hub.Publish(serve.Event{Type: jobs.EventExperimentEnd, AtMs: o.atMs(), Experiment: id, WallS: wallS})
-}
-
-// finish marks the run complete (or interrupted) and publishes the
-// final event; /progress keeps serving the terminal snapshot until
-// close, so a dashboard sees the run end rather than a dropped socket.
-func (o *observatory) finish(interrupted bool) {
-	if o == nil {
-		return
-	}
-	o.status.Finish(interrupted)
-	o.hub.Publish(serve.Event{Type: serve.EventRunEnd, AtMs: o.atMs(), Interrupted: interrupted})
-}
-
-// close stops the profiler loop (waiting for an in-flight capture
+// close gives each /events client up to a second to receive its stream
+// through run_end, where the stream ends and the client unsubscribes;
+// then it stops the profiler loop (waiting for an in-flight capture
 // window to drain) and shuts the HTTP server down.
 func (o *observatory) close() {
 	if o == nil {
 		return
+	}
+	for deadline := time.Now().Add(time.Second); o.hub.Subscribers() > 0 && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
 	}
 	o.run.Close()
 }

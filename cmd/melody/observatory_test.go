@@ -14,7 +14,6 @@ import (
 
 	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/melody"
-	"github.com/moatlab/melody/internal/obs/serve"
 	"github.com/moatlab/melody/internal/obs/svclog"
 )
 
@@ -63,15 +62,15 @@ func runObserved(t *testing.T, withServe bool) []byte {
 			t.Fatal(err)
 		}
 		defer obsv.close()
-		eng.Progress = func(id string, done, total int) { obsv.cell(id, done, total) }
+		eng.Event = obsv.publish
 	}
 
-	obsv.experimentStart("fig8f", "")
+	obsv.publish(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig8f"})
 	if _, ok := eng.RunByID(context.Background(), "fig8f"); !ok {
 		t.Fatal("fig8f not registered")
 	}
-	obsv.experimentEnd("fig8f", 1)
-	obsv.finish(false)
+	obsv.publish(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: "fig8f", WallS: 1})
+	obsv.publish(jobs.Event{Type: jobs.EventRunEnd})
 
 	if withServe {
 		// Scrape every endpoint mid-lifetime to prove reads are inert.
@@ -153,14 +152,14 @@ func TestObservatoryLiveEndpoints(t *testing.T) {
 	})
 	eng.Workers = 2
 	eng.Obs = tel
-	eng.Progress = func(id string, done, total int) { obsv.cell(id, done, total) }
+	eng.Event = obsv.publish
 
-	obsv.experimentStart("fig8f", "Sensitivity")
+	obsv.publish(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig8f", Title: "Sensitivity"})
 	if _, ok := eng.RunByID(context.Background(), "fig8f"); !ok {
 		t.Fatal("fig8f not registered")
 	}
-	obsv.experimentEnd("fig8f", 0.5)
-	obsv.finish(false)
+	obsv.publish(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: "fig8f", WallS: 0.5})
+	obsv.publish(jobs.Event{Type: jobs.EventRunEnd})
 
 	var prog melody.ProgressSnapshot
 	resp, err := http.Get(base + "/progress")
@@ -201,19 +200,43 @@ func TestObservatoryLiveEndpoints(t *testing.T) {
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var ev serve.Event
+		var ev jobs.Event
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(line, "data: ")), &ev); err != nil {
 			t.Fatalf("bad SSE payload %q: %v", line, err)
 		}
 		seen[ev.Type] = true
-		if ev.Type == serve.EventRunEnd {
+		if ev.Type == jobs.EventRunEnd {
 			break
 		}
 	}
-	for _, want := range []string{jobs.EventExperimentStart, jobs.EventCell, jobs.EventExperimentEnd, serve.EventRunEnd} {
+	for _, want := range []string{jobs.EventExperimentStart, jobs.EventCell, jobs.EventExperimentEnd, jobs.EventRunEnd} {
 		if !seen[want] {
 			t.Fatalf("SSE stream missing %s events (saw %v)", want, seen)
 		}
+	}
+}
+
+// TestObservatoryCloseDeliversRunEnd pins the end of a -serve run: a
+// client of /events receives every event through run_end even when the
+// run closes the observatory the moment it publishes it.
+func TestObservatoryCloseDeliversRunEnd(t *testing.T) {
+	obsv, err := startObservatory("127.0.0.1:0", melody.NewTelemetry(), []string{"fig8f"}, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + obsv.run.Addr().String() + "/events")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	obsv.publish(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig8f"})
+	obsv.publish(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: "fig8f", WallS: 1})
+	obsv.publish(jobs.Event{Type: jobs.EventRunEnd})
+	obsv.close()
+	body, _ := io.ReadAll(resp.Body)
+	frames := strings.Split(strings.TrimSuffix(string(body), "\n\n"), "\n\n")
+	if last := frames[len(frames)-1]; !strings.HasPrefix(last, "id: 3\nevent: run_end\n") {
+		t.Fatalf("stream did not end at run_end:\n%s", body)
 	}
 }
 

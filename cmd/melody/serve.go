@@ -53,23 +53,15 @@ func jobExecutor(cur *atomic.Pointer[melody.RunStatus], log *slog.Logger) jobs.E
 		out, err := melody.Execute(ctx, sp, melody.ExecHooks{
 			Telemetry: tel,
 			Log:       jlog,
-			Progress: func(id string, done, total int) {
-				status.CellDone(id, done, total)
-				notify(jobs.Event{Type: jobs.EventCell, Experiment: id, Done: done, Total: total})
-			},
-			ExperimentStart: func(id, title string) {
-				status.BeginExperiment(id, title)
-				notify(jobs.Event{Type: jobs.EventExperimentStart, Experiment: id, Title: title})
-			},
-			ExperimentEnd: func(id string, wallS float64) {
-				status.EndExperiment(id, wallS)
-				notify(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: id, WallS: wallS})
+			Event: func(ev jobs.Event) {
+				status.Apply(ev)
+				notify(ev)
 			},
 		})
 		if err != nil {
 			return jobs.ExecResult{}, err
 		}
-		status.Finish(out.Interrupted)
+		status.Apply(jobs.Event{Type: jobs.EventRunEnd, Interrupted: out.Interrupted})
 		raw, err := melody.EncodeManifest(*out.Manifest)
 		if err != nil {
 			return jobs.ExecResult{}, err

@@ -76,9 +76,10 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCanceled
 }
 
-// Event types emitted on the manager's notify stream. Experiment-level
-// types mirror the observatory's run events; job-level types bracket
-// the queue lifecycle.
+// Event types. Job-level types bracket the queue lifecycle; the
+// experiment-level types come from melody.Execute; run_end closes a
+// CLI run's /events stream (a job's stream ends at job_finished
+// instead, so the executor never emits it).
 const (
 	EventQueued          = "job_queued"
 	EventStarted         = "job_started"
@@ -86,30 +87,46 @@ const (
 	EventCell            = "cell"
 	EventExperimentEnd   = "experiment_end"
 	EventFinished        = "job_finished"
+	EventRunEnd          = "run_end"
 )
 
-// Event is one job-lifecycle notification. JobID and SpecHash are the
-// correlation ids: the manager stamps both on every job-level event so
-// consumers (the per-job SSE stream) carry the same join keys as the
-// structured logs and /runs/{id}.
+// Event is the one run- and job-lifecycle notification, from
+// melody.Execute's hook through the manager to every SSE stream; its
+// JSON is the SSE data payload. Seq is assigned by the SSE hub and
+// strictly increasing, so a client too slow to keep up sees a gap in
+// ids. AtMs is host milliseconds since the run began, stamped only on
+// the CLI observatory's /events stream (job streams carry 0): events
+// describe the run, never simulated time. JobID and SpecHash are the
+// correlation ids: the manager stamps both on every job's events so
+// consumers carry the same join keys as the structured logs and
+// /runs/{id}.
 type Event struct {
-	JobID    string
-	SpecHash string
+	Seq         uint64  `json:"seq"`
+	Type        string  `json:"type"`
+	AtMs        int64   `json:"at_ms"`
+	Experiment  string  `json:"experiment,omitempty"`
+	Title       string  `json:"title,omitempty"`
+	Done        int     `json:"done,omitempty"`
+	Total       int     `json:"total,omitempty"`
+	WallS       float64 `json:"wall_s,omitempty"`
+	Interrupted bool    `json:"interrupted,omitempty"`
+	JobID       string  `json:"job,omitempty"`
+	SpecHash    string  `json:"spec_hash,omitempty"`
+	State       State   `json:"state,omitempty"`
+	CacheHit    bool    `json:"cache_hit,omitempty"`
+	Error       string  `json:"error,omitempty"`
 	// TraceID is the submitting request's trace id (empty for untraced
 	// submissions): stamped on job-level events so downstream consumers
 	// — the regression log line, SSE payloads — carry the same join key
 	// as /traces and the access logs.
-	TraceID     string
-	Type        string
-	State       State
-	Experiment  string
-	Title       string
-	Done        int
-	Total       int
-	WallS       float64
-	CacheHit    bool
-	Interrupted bool
-	Error       string
+	TraceID string `json:"trace_id,omitempty"`
+	// Regression fields ("regression" events only): which pinned
+	// baseline the finished run regressed against, how many metrics
+	// tripped the gate, and the worst offender.
+	Baseline    string  `json:"baseline,omitempty"`
+	Regressions int     `json:"regressions,omitempty"`
+	Metric      string  `json:"metric,omitempty"`
+	Delta       float64 `json:"delta,omitempty"`
 }
 
 // ExecResult is what one executed spec yields: the encoded manifest

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/obs/tracespan"
 	"github.com/moatlab/melody/internal/platform"
 	"github.com/moatlab/melody/internal/workload"
@@ -24,10 +25,10 @@ type Engine struct {
 	// Workers bounds cell-level concurrency (0 = NumCPU).
 	Workers int
 
-	// Progress, when set, observes batch execution: it is called as
-	// cells of an experiment's declared set complete. Calls are
+	// Event, when set, observes batch execution: it receives a cell
+	// event as cells of an experiment's declared set complete. Calls are
 	// serialized by the engine.
-	Progress func(experimentID string, done, total int)
+	Event func(jobs.Event)
 
 	// Obs, when set, collects run telemetry (metrics registry, trace
 	// spans, per-cell timings) across every runner the engine creates.
@@ -115,11 +116,11 @@ func (g *Engine) newRunner(p platform.Platform) *Runner {
 
 // report forwards batch progress to the engine's observer.
 func (g *Engine) report(id string, done, total int) {
-	if g.Progress == nil {
+	if g.Event == nil {
 		return
 	}
 	g.progressMu.Lock()
-	g.Progress(id, done, total)
+	g.Event(jobs.Event{Type: jobs.EventCell, Experiment: id, Done: done, Total: total})
 	g.progressMu.Unlock()
 }
 

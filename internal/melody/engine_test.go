@@ -9,6 +9,7 @@ import (
 
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/platform"
 	"github.com/moatlab/melody/internal/workload"
@@ -320,13 +321,13 @@ func TestEngineProgress(t *testing.T) {
 	g.Workers = 4
 	var calls atomic.Int64
 	var maxDone atomic.Int64
-	g.Progress = func(id string, done, total int) {
+	g.Event = func(ev jobs.Event) {
 		calls.Add(1)
-		if int64(done) > maxDone.Load() {
-			maxDone.Store(int64(done))
+		if int64(ev.Done) > maxDone.Load() {
+			maxDone.Store(int64(ev.Done))
 		}
-		if total != len(specs)*len(configs) {
-			t.Errorf("total = %d, want %d", total, len(specs)*len(configs))
+		if ev.Total != len(specs)*len(configs) {
+			t.Errorf("total = %d, want %d", ev.Total, len(specs)*len(configs))
 		}
 	}
 	ec := g.context(context.Background(), "test")

@@ -7,6 +7,7 @@ import (
 	"runtime/pprof"
 	"time"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/melody/spec"
 	"github.com/moatlab/melody/internal/obs/svclog"
 	"github.com/moatlab/melody/internal/obs/tracespan"
@@ -20,8 +21,8 @@ import (
 // way and produce byte-identical manifests (equal content addresses).
 
 // ExecHooks observes an Execute call. Every field is optional; hooks
-// are called from the executing goroutine (Progress from the engine's
-// serialized progress path) and must not block for long.
+// are called from the executing goroutine (cell events from the
+// engine's serialized progress path) and must not block for long.
 type ExecHooks struct {
 	// Telemetry, when set, is attached to the engine and used to build
 	// the outcome's Manifest. A nil Telemetry runs without observation
@@ -29,13 +30,13 @@ type ExecHooks struct {
 	// serving flag asked for one.
 	Telemetry *Telemetry
 
-	// Progress observes cell completions (engine Progress shape).
-	Progress func(experimentID string, done, total int)
-
-	// ExperimentStart/ExperimentEnd bracket each experiment. End fires
-	// even when the run was interrupted during the experiment.
-	ExperimentStart func(id, title string)
-	ExperimentEnd   func(id string, wallS float64)
+	// Event receives the run's lifecycle events: experiment_start
+	// (with the title) and experiment_end (with the wall time) bracket
+	// each experiment, and cell events report its progress in between.
+	// experiment_end fires even when the run was interrupted during the
+	// experiment. Execute emits no run_end: the caller knows the
+	// outcome and closes its own stream.
+	Event func(jobs.Event)
 
 	// ReportDone delivers each completed experiment's report in spec
 	// order; interrupted experiments never reach it.
@@ -110,6 +111,9 @@ func Execute(ctx context.Context, sp spec.RunSpec, h ExecHooks) (ExecOutcome, er
 	if log == nil {
 		log = svclog.Discard()
 	}
+	if h.Event == nil {
+		h.Event = func(jobs.Event) {}
+	}
 	// The spec hash is the run's identity everywhere (manifest SpecHash,
 	// job store key, log correlation); compute it once up front.
 	hash, hashErr := n.Hash()
@@ -142,7 +146,7 @@ func Execute(ctx context.Context, sp spec.RunSpec, h ExecHooks) (ExecOutcome, er
 	})
 	eng.Workers = n.Workers
 	eng.Obs = h.Telemetry
-	eng.Progress = h.Progress
+	eng.Event = h.Event
 
 	out := ExecOutcome{Spec: n}
 	// Run under a spec_hash pprof label: host CPU profiles captured while
@@ -157,16 +161,12 @@ func Execute(ctx context.Context, sp spec.RunSpec, h ExecHooks) (ExecOutcome, er
 				runSpan.SetAttr("interrupted", "true")
 				break
 			}
-			if h.ExperimentStart != nil {
-				h.ExperimentStart(e.ID, e.Title)
-			}
+			h.Event(jobs.Event{Type: jobs.EventExperimentStart, Experiment: e.ID, Title: e.Title})
 			log.Debug("experiment started", svclog.KeySpecHash, hash, "experiment", e.ID, "title", e.Title)
 			start := time.Now()
 			rep := eng.Run(ctx, e)
 			wallS := time.Since(start).Seconds()
-			if h.ExperimentEnd != nil {
-				h.ExperimentEnd(e.ID, wallS)
-			}
+			h.Event(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: e.ID, WallS: wallS})
 			log.Info("experiment finished",
 				svclog.KeySpecHash, hash, "experiment", e.ID,
 				"wall_s", wallS, "interrupted", ctx.Err() != nil)

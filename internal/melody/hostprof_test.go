@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/obs/hostprof"
 	"github.com/moatlab/melody/internal/obs/profile"
 )
@@ -27,9 +28,12 @@ func TestExecutePprofLabels(t *testing.T) {
 	release := make(chan struct{})
 	var once sync.Once
 	hooks := ExecHooks{
-		// Progress fires from inside the experiment's labeled scope; hold
+		// Cell events fire from inside the experiment's labeled scope; hold
 		// the run there while the main goroutine snapshots.
-		Progress: func(string, int, int) {
+		Event: func(ev jobs.Event) {
+			if ev.Type != jobs.EventCell {
+				return
+			}
 			once.Do(func() { close(started) })
 			<-release
 		},

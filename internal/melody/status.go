@@ -4,13 +4,14 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/obs"
 )
 
 // RunStatus is the live view of an in-flight run that the observatory's
-// /progress endpoint serves. Writers — the engine's progress callback
-// and cmd/melody's experiment loop — rebuild an immutable experiment
-// list under a mutex and publish it through an atomic pointer; readers
+// /progress endpoint serves. Its writer, Apply, folds each of the run's
+// lifecycle events into an immutable experiment list under a mutex and
+// publishes it through an atomic pointer; readers
 // load the pointer and never take the write lock, so a scraper polling
 // /progress cannot delay a cell completion. Cache statistics and wall
 // summaries are filled at read time from the Telemetry's atomics.
@@ -21,18 +22,14 @@ import (
 type RunStatus struct {
 	tel *Telemetry
 
-	mu    sync.Mutex
-	order []string
-	exps  map[string]*ExperimentProgress
+	mu                sync.Mutex
+	order             []string
+	exps              map[string]*ExperimentProgress
+	done, interrupted bool
 
-	view atomic.Pointer[progressView]
-}
-
-// progressView is the immutable write-side snapshot.
-type progressView struct {
-	experiments []ExperimentProgress
-	interrupted bool
-	done        bool
+	// view holds the write side of the /progress payload; Snapshot
+	// fills in the live counters.
+	view atomic.Pointer[ProgressSnapshot]
 }
 
 // ExperimentProgress is one experiment's place in the run plan.
@@ -61,7 +58,7 @@ type ProgressSnapshot struct {
 // (which may be nil).
 func NewRunStatus(tel *Telemetry) *RunStatus {
 	s := &RunStatus{tel: tel, exps: map[string]*ExperimentProgress{}}
-	s.view.Store(&progressView{})
+	s.publishLocked()
 	return s
 }
 
@@ -87,87 +84,60 @@ func (s *RunStatus) Declare(ids []string) {
 	s.publishLocked()
 }
 
-// BeginExperiment marks id running.
-func (s *RunStatus) BeginExperiment(id, title string) {
-	s.update(id, func(ep *ExperimentProgress) {
-		ep.State = "running"
-		if title != "" {
-			ep.Title = title
-		}
-	})
-}
-
-// CellDone records batch progress within id (engine Progress shape).
-func (s *RunStatus) CellDone(id string, done, total int) {
-	s.update(id, func(ep *ExperimentProgress) {
-		ep.State = "running"
-		// Experiments submit several batches; keep the running maximum
-		// per batch so a later, smaller batch never rolls progress back.
-		if done >= ep.Done || total != ep.Total {
-			ep.Done, ep.Total = done, total
-		}
-	})
-}
-
-// EndExperiment marks id done with its wall time.
-func (s *RunStatus) EndExperiment(id string, wallS float64) {
-	s.update(id, func(ep *ExperimentProgress) {
-		ep.State = "done"
-		ep.WallS = wallS
-		if ep.Total > 0 {
-			ep.Done = ep.Total
-		}
-	})
-}
-
-// Finish marks the whole run complete (or interrupted).
-func (s *RunStatus) Finish(interrupted bool) {
+// Apply folds one lifecycle event into the board: experiment_start
+// marks its experiment running, cell records batch progress,
+// experiment_end marks it done with its wall time, and run_end marks
+// the whole run complete (or interrupted). Other types are ignored.
+func (s *RunStatus) Apply(ev jobs.Event) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v := *s.view.Load()
-	v.done, v.interrupted = true, interrupted
-	v.experiments = s.renderLocked()
-	s.view.Store(&v)
-}
-
-// update applies fn to id's entry (creating it on first sight) and
-// republishes the view.
-func (s *RunStatus) update(id string, fn func(*ExperimentProgress)) {
-	if s == nil {
+	switch ev.Type {
+	case jobs.EventRunEnd:
+		s.done, s.interrupted = true, ev.Interrupted
+	case jobs.EventExperimentStart, jobs.EventCell, jobs.EventExperimentEnd:
+		ep, ok := s.exps[ev.Experiment]
+		if !ok {
+			ep = &ExperimentProgress{ID: ev.Experiment}
+			s.exps[ev.Experiment] = ep
+			s.order = append(s.order, ev.Experiment)
+		}
+		ep.State = "running"
+		switch ev.Type {
+		case jobs.EventExperimentStart:
+			if ev.Title != "" {
+				ep.Title = ev.Title
+			}
+		case jobs.EventCell:
+			// Experiments submit several batches; keep the running maximum
+			// per batch so a later, smaller batch never rolls progress back.
+			if ev.Done >= ep.Done || ev.Total != ep.Total {
+				ep.Done, ep.Total = ev.Done, ev.Total
+			}
+		case jobs.EventExperimentEnd:
+			ep.State = "done"
+			ep.WallS = ev.WallS
+			if ep.Total > 0 {
+				ep.Done = ep.Total
+			}
+		}
+	default:
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ep, ok := s.exps[id]
-	if !ok {
-		ep = &ExperimentProgress{ID: id, State: "pending"}
-		s.exps[id] = ep
-		s.order = append(s.order, id)
-	}
-	fn(ep)
 	s.publishLocked()
 }
 
-// renderLocked copies the experiment list in declaration order.
-func (s *RunStatus) renderLocked() []ExperimentProgress {
-	out := make([]ExperimentProgress, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, *s.exps[id])
-	}
-	return out
-}
-
-// publishLocked swaps in a fresh immutable view.
+// publishLocked swaps in a fresh immutable view of the board, its
+// experiments in declaration order.
 func (s *RunStatus) publishLocked() {
-	old := s.view.Load()
-	s.view.Store(&progressView{
-		experiments: s.renderLocked(),
-		interrupted: old.interrupted,
-		done:        old.done,
-	})
+	v := &ProgressSnapshot{Interrupted: s.interrupted, Done: s.done,
+		Experiments: make([]ExperimentProgress, 0, len(s.order))}
+	for _, id := range s.order {
+		v.Experiments = append(v.Experiments, *s.exps[id])
+	}
+	s.view.Store(v)
 }
 
 // Snapshot assembles the /progress payload: the atomically published
@@ -177,17 +147,9 @@ func (s *RunStatus) Snapshot() ProgressSnapshot {
 	if s == nil {
 		return ProgressSnapshot{Experiments: []ExperimentProgress{}}
 	}
-	v := s.view.Load()
-	snap := ProgressSnapshot{
-		Interrupted: v.interrupted,
-		Done:        v.done,
-		Experiments: v.experiments,
-		CellsRun:    s.tel.CellsRun(),
-		Cache:       s.tel.CacheStats(),
-		CellWallMs:  s.tel.CellWallSummary(),
-	}
-	if snap.Experiments == nil {
-		snap.Experiments = []ExperimentProgress{}
-	}
+	snap := *s.view.Load()
+	snap.CellsRun = s.tel.CellsRun()
+	snap.Cache = s.tel.CacheStats()
+	snap.CellWallMs = s.tel.CellWallSummary()
 	return snap
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"sync"
 	"testing"
+
+	"github.com/moatlab/melody/internal/jobs"
 )
 
 func TestRunStatusLifecycle(t *testing.T) {
@@ -25,17 +27,17 @@ func TestRunStatusLifecycle(t *testing.T) {
 		t.Fatalf("unknown id declared with title %q", got)
 	}
 
-	s.BeginExperiment("fig5", "Curves")
-	s.CellDone("fig5", 3, 10)
+	s.Apply(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig5", Title: "Curves"})
+	s.Apply(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: 3, Total: 10})
 	snap = s.Snapshot()
 	if e := snap.Experiments[0]; e.State != "running" || e.Done != 3 || e.Total != 10 {
 		t.Fatalf("running snapshot = %+v", e)
 	}
 
-	s.EndExperiment("fig5", 2.5)
-	s.BeginExperiment("fig8a", "")
-	s.EndExperiment("fig8a", 1.0)
-	s.Finish(false)
+	s.Apply(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: "fig5", WallS: 2.5})
+	s.Apply(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig8a"})
+	s.Apply(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: "fig8a", WallS: 1.0})
+	s.Apply(jobs.Event{Type: jobs.EventRunEnd})
 	snap = s.Snapshot()
 	if !snap.Done || snap.Interrupted {
 		t.Fatalf("finished snapshot flags = done=%v interrupted=%v", snap.Done, snap.Interrupted)
@@ -51,8 +53,8 @@ func TestRunStatusLifecycle(t *testing.T) {
 
 func TestRunStatusInterrupted(t *testing.T) {
 	s := NewRunStatus(nil)
-	s.BeginExperiment("fig5", "Curves")
-	s.Finish(true)
+	s.Apply(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig5", Title: "Curves"})
+	s.Apply(jobs.Event{Type: jobs.EventRunEnd, Interrupted: true})
 	snap := s.Snapshot()
 	if !snap.Interrupted || !snap.Done {
 		t.Fatalf("interrupted run: %+v", snap)
@@ -61,14 +63,14 @@ func TestRunStatusInterrupted(t *testing.T) {
 
 func TestRunStatusProgressNeverRegresses(t *testing.T) {
 	s := NewRunStatus(nil)
-	s.CellDone("fig5", 8, 10)
+	s.Apply(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: 8, Total: 10})
 	// A smaller later report within the same batch must not roll back.
-	s.CellDone("fig5", 2, 10)
+	s.Apply(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: 2, Total: 10})
 	if e := s.Snapshot().Experiments[0]; e.Done != 8 {
 		t.Fatalf("progress rolled back: %+v", e)
 	}
 	// A new batch (different total) may reset.
-	s.CellDone("fig5", 1, 20)
+	s.Apply(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: 1, Total: 20})
 	if e := s.Snapshot().Experiments[0]; e.Done != 1 || e.Total != 20 {
 		t.Fatalf("new batch not adopted: %+v", e)
 	}
@@ -77,10 +79,10 @@ func TestRunStatusProgressNeverRegresses(t *testing.T) {
 func TestRunStatusNilSafe(t *testing.T) {
 	var s *RunStatus
 	s.Declare([]string{"x"})
-	s.BeginExperiment("x", "")
-	s.CellDone("x", 1, 2)
-	s.EndExperiment("x", 1)
-	s.Finish(false)
+	s.Apply(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "x"})
+	s.Apply(jobs.Event{Type: jobs.EventCell, Experiment: "x", Done: 1, Total: 2})
+	s.Apply(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: "x", WallS: 1})
+	s.Apply(jobs.Event{Type: jobs.EventRunEnd})
 	if snap := s.Snapshot(); snap.Experiments == nil {
 		t.Fatal("nil status snapshot has nil experiments")
 	}
@@ -91,7 +93,7 @@ func TestRunStatusSnapshotIsJSON(t *testing.T) {
 	tel.cacheHit.Add(3)
 	tel.cacheMiss.Add(1)
 	s := NewRunStatus(tel)
-	s.BeginExperiment("fig5", "Curves")
+	s.Apply(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig5", Title: "Curves"})
 	raw, err := json.Marshal(s.Snapshot())
 	if err != nil {
 		t.Fatal(err)
@@ -116,9 +118,9 @@ func TestRunStatusConcurrentReadersAndWriters(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 5000; i++ {
-			s.CellDone("fig5", i, 5000)
+			s.Apply(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: i, Total: 5000})
 		}
-		s.Finish(false)
+		s.Apply(jobs.Event{Type: jobs.EventRunEnd})
 	}()
 	go func() {
 		defer wg.Done()

@@ -282,9 +282,9 @@ func (a *jobAPI) diffOnCompletion(ev jobs.Event) {
 			"worst_metric", worst.Metric,
 			"worst_delta", worst.RelDelta,
 		)
-		regrEv := Event{
+		regrEv := jobs.Event{
 			Type:        EventRegression,
-			Job:         ev.JobID,
+			JobID:       ev.JobID,
 			SpecHash:    ev.SpecHash,
 			TraceID:     ev.TraceID,
 			Baseline:    b.Name,

@@ -280,7 +280,7 @@ func TestBaselineRegressionFlow(t *testing.T) {
 	slow := runSeed(t, ts, 3) // +40% latency vs baseline
 
 	ev := waitForEvent(t, sub, EventRegression)
-	if ev.Job != slow.ID || ev.Baseline != "golden" || ev.Regressions == 0 {
+	if ev.JobID != slow.ID || ev.Baseline != "golden" || ev.Regressions == 0 {
 		t.Fatalf("regression event = %+v", ev)
 	}
 	if ev.Metric == "" || ev.Delta <= 0 {
@@ -370,7 +370,7 @@ func TestCompareAgreesWithBaselineHook(t *testing.T) {
 	defer f.srv.Hub().Unsubscribe(sub)
 	slow := runSeed(t, f.ts, 3)
 	ev := waitForEvent(t, sub, EventRegression)
-	if ev.Job != slow.ID || ev.Regressions == 0 {
+	if ev.JobID != slow.ID || ev.Regressions == 0 {
 		t.Fatalf("regression event = %+v", ev)
 	}
 	if added := regressionsTotal() - before; added != ev.Regressions {
@@ -498,7 +498,7 @@ func TestRunsListFilters(t *testing.T) {
 	_ = first
 }
 
-func waitForEvent(t *testing.T, sub *Subscriber, typ string) Event {
+func waitForEvent(t *testing.T, sub *Subscriber, typ string) jobs.Event {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()

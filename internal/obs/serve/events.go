@@ -5,56 +5,18 @@ import (
 	"encoding/json"
 	"sync"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/obs"
 )
 
 // marshalEvent encodes one SSE event. It is a seam (swapped in tests)
-// so the encode-failure accounting is exercisable even though Event's
-// fields can never actually fail to marshal today.
+// so the encode-failure accounting is exercisable even though
+// jobs.Event's fields can never actually fail to marshal today.
 var marshalEvent = json.Marshal
 
-// Event is one run-lifecycle notification on the /events SSE stream.
-// Seq is hub-assigned and strictly increasing, so a client that was
-// too slow to keep up sees a gap in ids — drops are detectable, never
-// silent. AtMs is host wall-clock; simulated time never appears here
-// because events describe the run, not the simulation.
-type Event struct {
-	Seq         uint64  `json:"seq"`
-	Type        string  `json:"type"`
-	AtMs        int64   `json:"at_ms"`
-	Experiment  string  `json:"experiment,omitempty"`
-	Title       string  `json:"title,omitempty"`
-	Done        int     `json:"done,omitempty"`
-	Total       int     `json:"total,omitempty"`
-	WallS       float64 `json:"wall_s,omitempty"`
-	Interrupted bool    `json:"interrupted,omitempty"`
-	// Job-API fields (per-job /runs/{id}/events streams only). Job and
-	// SpecHash are the correlation ids: the same values appear in the
-	// job's structured log lines and /runs/{id} payload, so one job is
-	// joinable across logs, metrics, events and manifests.
-	Job      string `json:"job,omitempty"`
-	SpecHash string `json:"spec_hash,omitempty"`
-	State    string `json:"state,omitempty"`
-	CacheHit bool   `json:"cache_hit,omitempty"`
-	Error    string `json:"error,omitempty"`
-	// TraceID joins a job event to /traces and the access logs (empty
-	// for untraced submissions).
-	TraceID string `json:"trace_id,omitempty"`
-	// Regression fields ("regression" events only): which pinned
-	// baseline the finished run regressed against, how many metrics
-	// tripped the gate, and the worst offender.
-	Baseline    string  `json:"baseline,omitempty"`
-	Regressions int     `json:"regressions,omitempty"`
-	Metric      string  `json:"metric,omitempty"`
-	Delta       float64 `json:"delta,omitempty"`
-}
-
-// Event types only the observatory publishes. Job and experiment
-// event types are internal/jobs' (jobs.EventCell and friends); the
-// run-level /events stream reuses its experiment types.
+// Event types only the observatory publishes. The lifecycle types,
+// run_end included, are internal/jobs' (jobs.EventCell and friends).
 const (
-	// EventRunEnd closes a run on the run-level /events stream.
-	EventRunEnd = "run_end"
 	// EventJobStatus is the synthetic snapshot a per-job subscriber
 	// receives on connect.
 	EventJobStatus = "status"
@@ -98,7 +60,7 @@ func NewHub(published, dropped *obs.Counter) *Hub {
 
 // Publish stamps ev with the next sequence number and offers it to
 // every subscriber. It never blocks on slow consumers.
-func (h *Hub) Publish(ev Event) {
+func (h *Hub) Publish(ev jobs.Event) {
 	if h == nil {
 		return
 	}
@@ -149,11 +111,11 @@ type Subscriber struct {
 	notify chan struct{}
 
 	mu  sync.Mutex
-	buf []Event
+	buf []jobs.Event
 }
 
 // offer enqueues ev, dropping the oldest pending event when full.
-func (s *Subscriber) offer(ev Event, dropped *obs.Counter) {
+func (s *Subscriber) offer(ev jobs.Event, dropped *obs.Counter) {
 	s.mu.Lock()
 	if len(s.buf) >= s.cap {
 		copy(s.buf, s.buf[1:])
@@ -171,7 +133,7 @@ func (s *Subscriber) offer(ev Event, dropped *obs.Counter) {
 
 // Next blocks until at least one event is pending (returning the whole
 // pending batch, oldest first) or ctx is done (returning ok=false).
-func (s *Subscriber) Next(ctx context.Context) ([]Event, bool) {
+func (s *Subscriber) Next(ctx context.Context) ([]jobs.Event, bool) {
 	for {
 		s.mu.Lock()
 		if len(s.buf) > 0 {

@@ -19,7 +19,7 @@ func TestHubDropOldest(t *testing.T) {
 
 	// A wedged client: 100 events arrive while it drains nothing.
 	for i := 0; i < 100; i++ {
-		h.Publish(Event{Type: jobs.EventCell})
+		h.Publish(jobs.Event{Type: jobs.EventCell})
 	}
 	if got := dropped.Value(); got != 92 {
 		t.Fatalf("dropped = %d, want 92 (100 published into a queue of 8)", got)
@@ -52,7 +52,7 @@ func TestHubPublishNeverBlocks(t *testing.T) {
 	h.queueCap = capacity
 	subs := []*Subscriber{h.Subscribe(), h.Subscribe()}
 	for i := 0; i < n; i++ {
-		h.Publish(Event{Type: jobs.EventCell, Done: i})
+		h.Publish(jobs.Event{Type: jobs.EventCell, Done: i})
 	}
 	if got := published.Value(); got != n {
 		t.Fatalf("published = %d, want %d", got, n)
@@ -81,7 +81,7 @@ func TestHubSequenceMonotone(t *testing.T) {
 	h := NewHub(nil, nil)
 	sub := h.Subscribe()
 	for i := 0; i < 5; i++ {
-		h.Publish(Event{Type: jobs.EventCell})
+		h.Publish(jobs.Event{Type: jobs.EventCell})
 	}
 	evs, _ := sub.Next(context.Background())
 	for i := 1; i < len(evs); i++ {
@@ -115,7 +115,7 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 	h := NewHub(nil, nil)
 	sub := h.Subscribe()
 	h.Unsubscribe(sub)
-	h.Publish(Event{Type: EventRunEnd})
+	h.Publish(jobs.Event{Type: jobs.EventRunEnd})
 	if sub.Pending() != 0 {
 		t.Fatal("unsubscribed consumer still received events")
 	}
@@ -126,5 +126,5 @@ func TestUnsubscribeStopsDelivery(t *testing.T) {
 
 func TestNilHubPublish(t *testing.T) {
 	var h *Hub
-	h.Publish(Event{Type: jobs.EventCell}) // must not panic
+	h.Publish(jobs.Event{Type: jobs.EventCell}) // must not panic
 }

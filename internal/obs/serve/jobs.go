@@ -72,19 +72,24 @@ func (s *Server) AttachJobs(mgr *jobs.Manager) {
 	s.jobs = api
 }
 
-// hub returns (creating on first use) the per-job event hub.
+// hub returns jobID's event hub, creating it unless the job is already
+// terminal. A job's hub lives from its first event to its job_finished;
+// a store answer, born done, never gets one, and a nil hub publishes
+// nothing.
 func (a *jobAPI) hub(jobID string) *Hub {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	h, ok := a.hubs[jobID]
-	if !ok {
-		h = NewHub(a.published, a.dropped)
-		a.hubs[jobID] = h
+	h := a.hubs[jobID]
+	if h == nil {
+		if st, ok := a.mgr.Status(jobID); !ok || !st.State.Terminal() {
+			h = NewHub(a.published, a.dropped)
+			a.hubs[jobID] = h
+		}
 	}
 	return h
 }
 
-// onEvent routes a manager notification into the job's hub. The
+// onEvent publishes a manager notification on the job's hub. The
 // manager delivers events synchronously from the submit/execute path;
 // Publish is non-blocking by construction (drop-oldest), so a slow SSE
 // client can never stall a running experiment.
@@ -103,21 +108,15 @@ func (a *jobAPI) onEvent(ev jobs.Event) {
 		!ev.Interrupted && !ev.CacheHit {
 		a.diffOnCompletion(ev)
 	}
-	a.hub(ev.JobID).Publish(Event{
-		Type:        ev.Type,
-		Job:         ev.JobID,
-		SpecHash:    ev.SpecHash,
-		State:       string(ev.State),
-		Experiment:  ev.Experiment,
-		Title:       ev.Title,
-		Done:        ev.Done,
-		Total:       ev.Total,
-		WallS:       ev.WallS,
-		CacheHit:    ev.CacheHit,
-		Interrupted: ev.Interrupted,
-		Error:       ev.Error,
-		TraceID:     ev.TraceID,
-	})
+	h := a.hub(ev.JobID)
+	if ev.Type == jobs.EventFinished {
+		// The job's last event: drop its hub before publishing, so no
+		// hub outlives a stream that has ended.
+		a.mu.Lock()
+		delete(a.hubs, ev.JobID)
+		a.mu.Unlock()
+	}
+	h.Publish(ev)
 }
 
 // submit is POST /runs: decode a RunSpec, admit it, answer with the
@@ -272,7 +271,12 @@ func (a *jobAPI) events(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown job", http.StatusNotFound)
 		return
 	}
-	a.srv.stream(w, r, a.hub(id), func(w io.Writer) bool {
+	h := a.hub(id)
+	if h == nil {
+		// Terminal: the stream is the final snapshot alone.
+		h = NewHub(nil, nil)
+	}
+	a.srv.stream(w, r, h, func(w io.Writer) bool {
 		st, _ := a.mgr.Status(id)
 		data, err := json.Marshal(st)
 		if err != nil {

@@ -246,7 +246,7 @@ func TestEventEncodeFailureCounted(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Hub().Publish(Event{Type: jobs.EventCell, Experiment: "fig5", Done: 1, Total: 2})
+	s.Hub().Publish(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: 1, Total: 2})
 
 	deadline = time.Now().Add(2 * time.Second)
 	for s.SelfRegistry().Counter("serve/event_encode_failures").Value() == 0 {
@@ -258,7 +258,7 @@ func TestEventEncodeFailureCounted(t *testing.T) {
 	// The stream survives the failure: a subsequent good event (restore
 	// the seam) still arrives.
 	marshalEvent = old
-	s.Hub().Publish(Event{Type: jobs.EventCell, Experiment: "fig5", Done: 2, Total: 2})
+	s.Hub().Publish(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: 2, Total: 2})
 	r := bufio.NewReader(resp.Body)
 	found := make(chan struct{})
 	go func() {

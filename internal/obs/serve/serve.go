@@ -64,6 +64,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/obs/hostprof"
 	"github.com/moatlab/melody/internal/obs/ledger"
@@ -325,12 +326,13 @@ func (s *Server) readyz(w http.ResponseWriter, r *http.Request) {
 	writeJSONStatus(w, code, payload)
 }
 
-// events serves the run-level SSE stream, opened by a comment line.
+// events serves the run-level SSE stream, opened by a comment line and
+// ended by run_end.
 func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 	s.stream(w, r, s.hub, func(w io.Writer) bool {
 		fmt.Fprint(w, ": melody observatory event stream\n\n")
 		return true
-	}, "")
+	}, jobs.EventRunEnd)
 }
 
 // stream serves hub as an SSE stream. Every event renders as
@@ -342,8 +344,8 @@ func (s *Server) events(w http.ResponseWriter, r *http.Request) {
 // and sequence-number gaps tell the client exactly how many events its
 // slowness cost it. open writes the stream's first bytes once the
 // subscription exists, so nothing published after it can be missed; it
-// returns false to end the stream there. A non-empty last ends the
-// stream after an event of that type is written.
+// returns false to end the stream there. Otherwise the stream ends
+// after an event of type last is written.
 func (s *Server) stream(w http.ResponseWriter, r *http.Request, hub *Hub, open func(io.Writer) bool, last string) {
 	fl, ok := w.(http.Flusher)
 	if !ok {
@@ -372,7 +374,7 @@ func (s *Server) stream(w http.ResponseWriter, r *http.Request, hub *Hub, open f
 				continue
 			}
 			fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", ev.Seq, ev.Type, data)
-			if last != "" && ev.Type == last {
+			if ev.Type == last {
 				more = false
 			}
 		}

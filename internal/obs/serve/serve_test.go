@@ -141,8 +141,8 @@ func TestEventsSSEStream(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	s.Hub().Publish(Event{Type: jobs.EventExperimentStart, Experiment: "fig5", Title: "Latency-bandwidth curves"})
-	s.Hub().Publish(Event{Type: jobs.EventCell, Experiment: "fig5", Done: 1, Total: 10})
+	s.Hub().Publish(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig5", Title: "Latency-bandwidth curves"})
+	s.Hub().Publish(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: 1, Total: 10})
 
 	r := bufio.NewReader(resp.Body)
 	var lines []string
@@ -195,7 +195,7 @@ func TestSlowEventsClientSeesDrops(t *testing.T) {
 	// beyond queue capacity + buffering is dropped oldest-first.
 	const published = 200_000
 	for i := 0; i < published; i++ {
-		s.Hub().Publish(Event{Type: jobs.EventCell, Experiment: "fig5", Done: i, Total: published,
+		s.Hub().Publish(jobs.Event{Type: jobs.EventCell, Experiment: "fig5", Done: i, Total: published,
 			Title: strings.Repeat("x", 64)})
 	}
 
@@ -223,7 +223,7 @@ func TestSlowEventsClientSeesDrops(t *testing.T) {
 		if !strings.HasPrefix(line, "data: ") {
 			continue
 		}
-		var ev Event
+		var ev jobs.Event
 		if err := json.Unmarshal([]byte(strings.TrimPrefix(strings.TrimSpace(line), "data: ")), &ev); err != nil {
 			t.Fatal(err)
 		}
