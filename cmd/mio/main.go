@@ -14,29 +14,9 @@ import (
 	"io"
 	"os"
 
-	"github.com/moatlab/melody/internal/cxl"
-	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/mio"
 	"github.com/moatlab/melody/internal/platform"
 )
-
-func buildDevice(name string, seed uint64) (mem.Device, bool) {
-	spr := platform.SPR2S()
-	emrP := platform.EMR2SPrime()
-	switch name {
-	case "Local":
-		return spr.LocalDevice(), true
-	case "NUMA":
-		return spr.NUMADevice(seed), true
-	case "CXL-D":
-		return emrP.CXLDevice(cxl.ProfileD(), seed), true
-	default:
-		if prof, ok := cxl.ProfileByName(name); ok {
-			return spr.CXLDevice(prof, seed), true
-		}
-	}
-	return nil, false
-}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -54,7 +34,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	dev, ok := buildDevice(*device, *seed)
+	_, dev, ok := platform.DeviceByName(*device, *seed)
 	if !ok {
 		fmt.Fprintf(stderr, "mio: unknown device %q\n", *device)
 		return 1

@@ -14,29 +14,9 @@ import (
 	"io"
 	"os"
 
-	"github.com/moatlab/melody/internal/cxl"
-	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/mlc"
 	"github.com/moatlab/melody/internal/platform"
 )
-
-func buildDevice(name string, seed uint64) (mem.Device, float64, bool) {
-	spr := platform.SPR2S()
-	emrP := platform.EMR2SPrime()
-	switch name {
-	case "Local":
-		return spr.LocalDevice(), spr.CPU.MissOverheadNs, true
-	case "NUMA":
-		return spr.NUMADevice(seed), spr.CPU.MissOverheadNs, true
-	case "CXL-D":
-		return emrP.CXLDevice(cxl.ProfileD(), seed), emrP.CPU.MissOverheadNs, true
-	default:
-		if prof, ok := cxl.ProfileByName(name); ok {
-			return spr.CXLDevice(prof, seed), spr.CPU.MissOverheadNs, true
-		}
-	}
-	return nil, 0, false
-}
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
@@ -59,7 +39,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.DurationNs = *duration
 	cfg.Seed = *seed
 
-	dev, overhead, ok := buildDevice(*device, *seed)
+	plat, dev, ok := platform.DeviceByName(*device, *seed)
 	if !ok {
 		fmt.Fprintf(stderr, "mlc: unknown device %q\n", *device)
 		return 1
@@ -67,18 +47,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	switch mode {
 	case "idle":
-		fmt.Fprintf(stdout, "%s idle latency: %.0f ns\n", *device, overhead+mlc.IdleLatency(dev, cfg))
+		fmt.Fprintf(stdout, "%s idle latency: %.0f ns\n", *device, plat.CPU.MissOverheadNs+mlc.IdleLatency(dev, cfg))
 	case "bandwidth":
 		fmt.Fprintf(stdout, "%s read bandwidth: %.1f GB/s\n", *device, mlc.Bandwidth(dev, 1.0, cfg))
 	case "loaded":
 		fmt.Fprintf(stdout, "%s loaded latency (read-only):\n", *device)
 		for _, p := range mlc.LoadedLatency(dev, 1.0, mlc.StandardDelays(), cfg) {
 			fmt.Fprintf(stdout, "  delay %6.0f ns: %7.1f GB/s  avg %7.0f ns\n",
-				p.InjectDelayNs, p.BandwidthGBs, p.AvgLatencyNs+overhead)
+				p.InjectDelayNs, p.BandwidthGBs, p.AvgLatencyNs+plat.CPU.MissOverheadNs)
 		}
 	case "matrix":
 		fmt.Fprintf(stdout, "%s:\n", *device)
-		fmt.Fprintf(stdout, "  idle latency  %8.0f ns\n", overhead+mlc.IdleLatency(dev, cfg))
+		fmt.Fprintf(stdout, "  idle latency  %8.0f ns\n", plat.CPU.MissOverheadNs+mlc.IdleLatency(dev, cfg))
 		for _, ratio := range mlc.RWRatios() {
 			fmt.Fprintf(stdout, "  bandwidth R:W %-4s %7.1f GB/s\n", ratio.Name, mlc.Bandwidth(dev, ratio.ReadFrac, cfg))
 		}

@@ -162,6 +162,26 @@ func PlatformByName(name string) (Platform, bool) {
 	return Platform{}, false
 }
 
+// DeviceByName builds the measurement tools' device for name with the
+// platform it hangs off: Local and NUMA DRAM and CXL-A..CXL-C on SPR,
+// CXL-D on EMR′ (the only platform the paper attaches it to).
+func DeviceByName(name string, seed uint64) (Platform, mem.Device, bool) {
+	spr := SPR2S()
+	switch name {
+	case "Local":
+		return spr, spr.LocalDevice(), true
+	case "NUMA":
+		return spr, spr.NUMADevice(seed), true
+	case "CXL-D":
+		emrP := EMR2SPrime()
+		return emrP, emrP.CXLDevice(cxl.ProfileD(), seed), true
+	}
+	if prof, ok := cxl.ProfileByName(name); ok {
+		return spr, spr.CXLDevice(prof, seed), true
+	}
+	return Platform{}, nil, false
+}
+
 // LocalDevice builds the platform's socket-local DRAM device.
 func (p Platform) LocalDevice() mem.Device {
 	return imc.New(imc.Config{Name: "Local", PipelineNs: p.LocalPipelineNs, DRAM: p.LocalDRAM})

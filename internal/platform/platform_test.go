@@ -168,3 +168,24 @@ func TestSwitchAddsLatency(t *testing.T) {
 }
 
 var _ = mem.LineSize // keep mem imported for doc-adjacent constants
+
+// TestDeviceByName pins the measurement tools' device table: each name
+// builds a device on its platform, and an unknown name is refused.
+func TestDeviceByName(t *testing.T) {
+	spr, emrP := SPR2S().CPU.Name, EMR2SPrime().CPU.Name
+	for _, c := range []struct{ name, cpu string }{
+		{"Local", spr}, {"NUMA", spr}, {"CXL-A", spr},
+		{"CXL-B", spr}, {"CXL-C", spr}, {"CXL-D", emrP},
+	} {
+		p, dev, ok := DeviceByName(c.name, 1)
+		if !ok || dev == nil {
+			t.Fatalf("device %q not recognized", c.name)
+		}
+		if p.CPU.Name != c.cpu {
+			t.Errorf("device %q on %s, want %s", c.name, p.CPU.Name, c.cpu)
+		}
+	}
+	if _, dev, ok := DeviceByName("DDR9", 1); ok || dev != nil {
+		t.Fatal("bogus device accepted")
+	}
+}
