@@ -177,22 +177,17 @@ type Status struct {
 	Address string `json:"manifest_address,omitempty"`
 }
 
+// job is one job's record. Its Status is what /runs/{id} serves, kept
+// current by every transition under the manager's lock; the fields
+// below are what Status lacks.
 type job struct {
-	id          string
-	sp          spec.RunSpec
-	hash        string
-	state       State
-	experiment  string
-	done, total int
-	cacheHit    bool
-	interrupted bool
-	restored    bool
-	err         error
-	// res holds the result inline for jobs executed by this process.
-	// Cache-hit and restored jobs carry only the Address — their bytes
-	// stay in the store and Manifest loads them on demand, so a durable
-	// store's history does not get re-buffered in memory.
-	res ExecResult
+	Status
+
+	// manifest holds the manifest bytes inline for jobs executed by this
+	// process. Cache-hit and restored jobs carry only Status.Address —
+	// their bytes stay in the store and Manifest loads them on demand, so
+	// a durable store's history does not get re-buffered in memory.
+	manifest []byte
 
 	submittedAt time.Time
 	startedAt   time.Time
@@ -202,6 +197,10 @@ type job struct {
 	// SubmitCtx time — the hand-off that keeps a trace connected across
 	// the queue boundary after the HTTP span has long since answered 202.
 	parent tracespan.SpanContext
+
+	// log is the manager's logger bound to the job's job_id and
+	// spec_hash, the correlation ids every transition line carries.
+	log *slog.Logger
 }
 
 // traceID returns the submitting request's trace id, or "" for an
@@ -212,6 +211,13 @@ func (j *job) traceID() string {
 		return ""
 	}
 	return j.parent.Trace.String()
+}
+
+// event builds a job-level event of type typ from the record. Call it
+// under the manager's lock, in the step that made the transition.
+func (j *job) event(typ string) Event {
+	return Event{Type: typ, JobID: j.ID, SpecHash: j.SpecHash, TraceID: j.traceID(),
+		State: j.State, CacheHit: j.CacheHit, Interrupted: j.Interrupted, Error: j.Error}
 }
 
 // Manager owns the queue, the job table, and the run store. One
@@ -228,8 +234,9 @@ type Manager struct {
 
 	// Log, when set, receives structured state-transition lines
 	// (queued, started, finished, canceled — each with job_id,
-	// spec_hash, queue depth and durations). Set before Run; nil is
-	// silent.
+	// spec_hash, queue depth and durations). Set before the first
+	// RestoreJob or Submit: each job binds its logger when it is
+	// created. nil is silent.
 	Log *slog.Logger
 
 	// now is the clock behind queue-wait/execution timing; tests pin
@@ -309,14 +316,12 @@ func (m *Manager) RestoreJob(specHash, address string, specJSON []byte, at time.
 		return fmt.Errorf("jobs: restore %s: %w", specHash, err)
 	}
 	m.mu.Lock()
-	j := m.newJobLocked(sp.Normalized(), specHash)
-	j.state = StateDone
-	j.restored = true
-	j.res = ExecResult{Address: address}
+	j := m.newJobLocked(sp.Normalized(), specHash, StateDone)
+	j.Restored = true
+	j.Address = address
 	j.submittedAt, j.startedAt, j.finishedAt = at, at, at
 	m.mu.Unlock()
-	m.logger().Debug("job restored from ledger",
-		svclog.KeyJobID, j.id, svclog.KeySpecHash, specHash)
+	j.log.Debug("job restored from ledger")
 	return nil
 }
 
@@ -324,9 +329,7 @@ func (m *Manager) RestoreJob(specHash, address string, specJSON []byte, at time.
 type metrics struct {
 	queueWait *obs.Histogram
 	execDur   *obs.Histogram
-	done      *obs.Counter
-	failed    *obs.Counter
-	canceled  *obs.Counter
+	finished  map[State]*obs.Counter
 }
 
 // SetMetrics points the manager's job-lifecycle instruments at reg:
@@ -341,9 +344,10 @@ func (m *Manager) SetMetrics(reg *obs.Registry) {
 	m.met = &metrics{
 		queueWait: reg.Histogram("jobs/queue_wait_seconds"),
 		execDur:   reg.Histogram("jobs/exec_seconds"),
-		done:      reg.Counter("jobs/finished|state=done"),
-		failed:    reg.Counter("jobs/finished|state=failed"),
-		canceled:  reg.Counter("jobs/finished|state=canceled"),
+		finished:  map[State]*obs.Counter{},
+	}
+	for _, s := range []State{StateDone, StateFailed, StateCanceled} {
+		m.met.finished[s] = reg.Counter("jobs/finished|state=" + string(s))
 	}
 }
 
@@ -413,25 +417,21 @@ func (m *Manager) SubmitCtx(ctx context.Context, sp spec.RunSpec) (Status, error
 	if j := m.live[hash]; j != nil {
 		st := m.statusLocked(j)
 		m.mu.Unlock()
-		m.logger().Debug("job coalesced onto live duplicate",
-			svclog.KeyJobID, j.id, svclog.KeySpecHash, hash)
+		j.log.Debug("job coalesced onto live duplicate")
 		return st, nil
 	}
 	// Identical spec already solved: answer from the store. Stat, not
 	// Get — the job carries only the content address; Manifest streams
 	// the bytes from the store when a client actually fetches them.
 	if addr, ok := m.store.Stat(hash); ok {
-		j := m.newJobLocked(n, hash)
-		j.state = StateDone
-		j.cacheHit = true
+		j := m.newJobLocked(n, hash, StateDone)
+		j.CacheHit = true
+		j.Address = addr
 		j.parent = parent
-		j.res = ExecResult{Address: addr}
-		st := m.statusLocked(j)
+		st, fin := m.statusLocked(j), j.event(EventFinished)
 		m.mu.Unlock()
-		m.logger().Info("job served from store",
-			svclog.KeyJobID, j.id, svclog.KeySpecHash, hash)
-		m.emit(Event{JobID: j.id, SpecHash: hash, TraceID: j.traceID(),
-			Type: EventFinished, State: StateDone, CacheHit: true})
+		j.log.Info("job served from store")
+		m.emit(fin)
 		return st, nil
 	}
 	if m.draining {
@@ -445,20 +445,17 @@ func (m *Manager) SubmitCtx(ctx context.Context, sp spec.RunSpec) (Status, error
 			svclog.KeySpecHash, hash, "queue_depth", m.QueueDepth(), "queue_cap", m.queueCap)
 		return Status{}, ErrQueueFull
 	}
-	j := m.newJobLocked(n, hash)
-	j.state = StateQueued
+	j := m.newJobLocked(n, hash, StateQueued)
 	j.parent = parent
 	j.submittedAt = m.now()
 	m.queue = append(m.queue, j)
 	m.live[hash] = j
 	depth := len(m.queue)
-	st := m.statusLocked(j)
+	st, queued := m.statusLocked(j), j.event(EventQueued)
 	m.mu.Unlock()
 
-	m.logger().Info("job queued",
-		svclog.KeyJobID, j.id, svclog.KeySpecHash, hash,
-		"queue_depth", depth, "queue_cap", m.queueCap)
-	m.emit(Event{JobID: j.id, SpecHash: hash, TraceID: j.traceID(), Type: EventQueued, State: StateQueued})
+	j.log.Info("job queued", "queue_depth", depth, "queue_cap", m.queueCap)
+	m.emit(queued)
 	select {
 	case m.wake <- struct{}{}:
 	default:
@@ -466,11 +463,15 @@ func (m *Manager) SubmitCtx(ctx context.Context, sp spec.RunSpec) (Status, error
 	return st, nil
 }
 
-func (m *Manager) newJobLocked(sp spec.RunSpec, hash string) *job {
+func (m *Manager) newJobLocked(sp spec.RunSpec, hash string, state State) *job {
 	m.nextID++
-	j := &job{id: fmt.Sprintf("run-%06d", m.nextID), sp: sp, hash: hash}
-	m.byID[j.id] = j
-	m.order = append(m.order, j.id)
+	id := fmt.Sprintf("run-%06d", m.nextID)
+	j := &job{
+		Status: Status{ID: id, State: state, SpecHash: hash, Spec: sp},
+		log:    m.logger().With(svclog.KeyJobID, id, svclog.KeySpecHash, hash),
+	}
+	m.byID[id] = j
+	m.order = append(m.order, id)
 	return j
 }
 
@@ -478,6 +479,10 @@ func (m *Manager) newJobLocked(sp spec.RunSpec, hash string) *job {
 // done, then drains — queued jobs are canceled, the in-flight job (its
 // executor sees the canceled ctx) finishes gracefully and flushes its
 // partial manifest — and returns.
+//
+// Each transition — start, finish, cancel — changes the record, its
+// jobs/* instruments and its event in one lock section, so a reader
+// that sees a state also sees it counted.
 func (m *Manager) Run(ctx context.Context) {
 	// Flip to draining the moment shutdown is requested, even while a
 	// job is mid-execution, so /readyz reports it immediately.
@@ -488,12 +493,19 @@ func (m *Manager) Run(ctx context.Context) {
 		m.mu.Lock()
 		var j *job
 		var depth int
+		var queueWait float64
+		var started Event
 		if ctx.Err() == nil && len(m.queue) > 0 {
 			j = m.queue[0]
 			m.queue = m.queue[1:]
-			j.state = StateRunning
-			j.startedAt = m.now()
 			depth = len(m.queue)
+			j.State = StateRunning
+			j.startedAt = m.now()
+			queueWait = j.startedAt.Sub(j.submittedAt).Seconds()
+			if m.met != nil {
+				m.met.queueWait.Record(queueWait)
+			}
+			started = j.event(EventStarted)
 		}
 		m.mu.Unlock()
 
@@ -507,18 +519,12 @@ func (m *Manager) Run(ctx context.Context) {
 			}
 		}
 
-		queueWait := j.startedAt.Sub(j.submittedAt).Seconds()
-		if m.met != nil {
-			m.met.queueWait.Record(queueWait)
-		}
-		m.logger().Info("job started",
-			svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash,
-			"queue_wait_s", queueWait, "queue_depth", depth)
-		m.emit(Event{JobID: j.id, SpecHash: j.hash, TraceID: j.traceID(), Type: EventStarted, State: StateRunning})
+		j.log.Info("job started", "queue_wait_s", queueWait, "queue_depth", depth)
+		m.emit(started)
 		// The executor's ctx carries the job id so the execution layer
 		// (melody.Execute hooks, its logger) can stamp the same
 		// correlation id without widening the Executor signature.
-		execCtx := WithJobID(ctx, j.id)
+		execCtx := WithJobID(ctx, j.ID)
 		// Traced submission: the wait the job just served becomes a
 		// post-hoc queue span under the submitting request, and the
 		// execution ahead becomes a live exec span (carried in execCtx,
@@ -527,12 +533,12 @@ func (m *Manager) Run(ctx context.Context) {
 		// SpanContext and StartChild then no-ops.
 		var execSpan *tracespan.Span
 		if qsc := m.tracer.Record(j.parent, "queue", j.submittedAt, j.startedAt,
-			tracespan.String(svclog.KeyJobID, j.id),
-			tracespan.String(svclog.KeySpecHash, j.hash),
+			tracespan.String(svclog.KeyJobID, j.ID),
+			tracespan.String(svclog.KeySpecHash, j.SpecHash),
 		); qsc.Valid() {
 			execCtx, execSpan = m.tracer.StartChild(execCtx, qsc, "exec",
-				tracespan.String(svclog.KeyJobID, j.id),
-				tracespan.String(svclog.KeySpecHash, j.hash),
+				tracespan.String(svclog.KeyJobID, j.ID),
+				tracespan.String(svclog.KeySpecHash, j.SpecHash),
 			)
 		}
 		// Execute under pprof labels so host CPU profiles captured by the
@@ -542,110 +548,78 @@ func (m *Manager) Run(ctx context.Context) {
 		// `go tool pprof -tagfocus job_id=<id>`.
 		var res ExecResult
 		var err error
-		pprof.Do(execCtx, pprof.Labels(svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash),
+		pprof.Do(execCtx, pprof.Labels(svclog.KeyJobID, j.ID, svclog.KeySpecHash, j.SpecHash),
 			func(execCtx context.Context) {
-				res, err = m.exec(execCtx, j.sp, func(ev Event) {
-					ev.JobID = j.id
-					ev.SpecHash = j.hash
-					m.progress(j, ev)
+				res, err = m.exec(execCtx, j.Spec, func(ev Event) {
+					ev.JobID, ev.SpecHash = j.ID, j.SpecHash
+					// Fold the in-flight experiment's cell count into the record.
+					if ev.Type == EventExperimentStart || ev.Type == EventCell {
+						m.mu.Lock()
+						j.Experiment, j.Done, j.Total = ev.Experiment, ev.Done, ev.Total
+						m.mu.Unlock()
+					}
 					m.emit(ev)
 				})
 			})
 
 		m.mu.Lock()
-		delete(m.live, j.hash)
-		j.finishedAt = m.now()
-		execS := j.finishedAt.Sub(j.startedAt).Seconds()
+		now := m.now()
+		execS := now.Sub(j.startedAt).Seconds()
 		m.execCount++
 		m.execSum += execS
-		var fin Event
+		if m.met != nil {
+			m.met.execDur.Record(execS)
+		}
+		state := StateFailed
 		var storeErr error
-		switch {
-		case err != nil:
-			j.state = StateFailed
-			j.err = err
-			fin = Event{JobID: j.id, SpecHash: j.hash, TraceID: j.traceID(),
-				Type: EventFinished, State: StateFailed, Error: err.Error()}
-		default:
-			j.state = StateDone
-			j.res = res
-			j.interrupted = res.Interrupted
+		if err != nil {
+			j.Error = err.Error()
+		} else {
+			state = StateDone
+			j.manifest, j.Address, j.Interrupted = res.ManifestJSON, res.Address, res.Interrupted
 			if !res.Interrupted {
 				// File the completed run under its spec hash. The canonical
 				// spec rides along so a durable store can rebuild /runs
 				// history at the next startup. A store failure is logged,
 				// not fatal: the job itself succeeded and its manifest is
-				// still served inline from j.res.
-				if specJSON, encErr := spec.Encode(j.sp); encErr != nil {
-					storeErr = encErr
-				} else {
-					storeErr = m.store.Put(j.hash, res.Address, res.ManifestJSON, specJSON, j.id)
+				// still served inline from j.manifest.
+				var specJSON []byte
+				if specJSON, storeErr = spec.Encode(j.Spec); storeErr == nil {
+					storeErr = m.store.Put(j.SpecHash, j.Address, j.manifest, specJSON, j.ID)
 				}
 			}
-			fin = Event{JobID: j.id, SpecHash: j.hash, TraceID: j.traceID(),
-				Type: EventFinished, State: StateDone, Interrupted: res.Interrupted}
 		}
+		fin := m.finishLocked(j, state, now)
 		m.mu.Unlock()
+
 		if storeErr != nil {
-			m.logger().Error("run store put failed",
-				svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash, "err", storeErr.Error())
+			j.log.Error("run store put failed", "err", storeErr.Error())
 		}
 		if err != nil {
 			execSpan.SetError(err.Error())
+			j.log.Error("job failed", "exec_s", execS, "err", err.Error())
+		} else {
+			j.log.Info("job finished", "exec_s", execS, "interrupted", res.Interrupted)
 		}
-		execSpan.SetAttr("state", string(fin.State))
+		execSpan.SetAttr("state", string(state))
 		if res.Interrupted {
 			execSpan.SetAttr("interrupted", "true")
 		}
 		execSpan.End()
-		if m.met != nil {
-			m.met.execDur.Record(execS)
-		}
-		switch {
-		case err != nil:
-			m.met.counter(StateFailed).Inc()
-			m.logger().Error("job failed",
-				svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash,
-				"exec_s", execS, "err", err.Error())
-		default:
-			m.met.counter(StateDone).Inc()
-			m.logger().Info("job finished",
-				svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash,
-				"exec_s", execS, "interrupted", res.Interrupted)
-		}
 		m.emit(fin)
 	}
 }
 
-// counter maps a terminal state onto its jobs/finished counter. Both
-// the nil *metrics receiver and the nil counters it would return are
-// no-op-safe, so call sites need no guards.
-func (mt *metrics) counter(s State) *obs.Counter {
-	if mt == nil {
-		return nil
+// finishLocked moves j to terminal state s at time at: the record, the
+// jobs/finished{state} counter and the job_finished event change
+// together, under the lock the caller holds.
+func (m *Manager) finishLocked(j *job, s State, at time.Time) Event {
+	j.State, j.finishedAt = s, at
+	delete(m.live, j.SpecHash)
+	if m.met != nil {
+		m.met.finished[s].Inc()
 	}
-	switch s {
-	case StateFailed:
-		return mt.failed
-	case StateCanceled:
-		return mt.canceled
-	default:
-		return mt.done
-	}
-}
-
-// progress folds an executor event into the job's status fields.
-func (m *Manager) progress(j *job, ev Event) {
-	m.mu.Lock()
-	switch ev.Type {
-	case EventExperimentStart:
-		j.experiment = ev.Experiment
-		j.done, j.total = 0, 0
-	case EventCell:
-		j.experiment = ev.Experiment
-		j.done, j.total = ev.Done, ev.Total
-	}
-	m.mu.Unlock()
+	return j.event(EventFinished)
 }
 
 // StartDrain stops admission and cancels every queued job. Idempotent;
@@ -661,19 +635,15 @@ func (m *Manager) StartDrain() {
 	canceled := m.queue
 	m.queue = nil
 	now := m.now()
-	for _, j := range canceled {
-		j.state = StateCanceled
-		j.finishedAt = now
-		delete(m.live, j.hash)
+	fins := make([]Event, len(canceled))
+	for i, j := range canceled {
+		fins[i] = m.finishLocked(j, StateCanceled, now)
 	}
 	m.mu.Unlock()
 	m.logger().Info("draining", "canceled_jobs", len(canceled))
-	for _, j := range canceled {
-		m.met.counter(StateCanceled).Inc()
-		m.logger().Info("job canceled",
-			svclog.KeyJobID, j.id, svclog.KeySpecHash, j.hash,
-			"queue_wait_s", now.Sub(j.submittedAt).Seconds())
-		m.emit(Event{JobID: j.id, SpecHash: j.hash, Type: EventFinished, State: StateCanceled})
+	for i, j := range canceled {
+		j.log.Info("job canceled", "queue_wait_s", now.Sub(j.submittedAt).Seconds())
+		m.emit(fins[i])
 	}
 }
 
@@ -713,13 +683,13 @@ func (m *Manager) JobsDuring(from, to time.Time) []string {
 	var out []string
 	for i := len(m.order) - 1; i >= 0; i-- {
 		j := m.byID[m.order[i]]
-		if j.restored || j.startedAt.IsZero() || j.startedAt.After(to) {
+		if j.Restored || j.startedAt.IsZero() || j.startedAt.After(to) {
 			continue
 		}
 		if !j.finishedAt.IsZero() && j.finishedAt.Before(from) {
 			break
 		}
-		out = append(out, j.id)
+		out = append(out, j.ID)
 	}
 	slices.Reverse(out)
 	return out
@@ -768,28 +738,23 @@ func (m *Manager) Manifest(id string) ([]byte, string, error) {
 		m.mu.Unlock()
 		return nil, "", ErrUnknownJob
 	}
-	switch j.state {
+	rec, st := *j, m.store
+	m.mu.Unlock()
+	switch rec.State {
 	case StateDone:
-		res, hash := j.res, j.hash
-		st := m.store
-		m.mu.Unlock()
-		if res.ManifestJSON != nil {
-			return res.ManifestJSON, res.Address, nil
+		if rec.manifest != nil {
+			return rec.manifest, rec.Address, nil
 		}
-		if b, addr, ok := st.Get(hash); ok {
+		if b, addr, ok := st.Get(rec.SpecHash); ok {
 			return b, addr, nil
 		}
 		return nil, "", fmt.Errorf("%w: evicted from run store", ErrNoManifest)
 	case StateFailed:
-		defer m.mu.Unlock()
-		return nil, "", fmt.Errorf("%w: %v", ErrNoManifest, j.err)
+		return nil, "", fmt.Errorf("%w: %s", ErrNoManifest, rec.Error)
 	case StateCanceled:
-		defer m.mu.Unlock()
 		return nil, "", fmt.Errorf("%w: canceled before execution", ErrNoManifest)
-	default:
-		m.mu.Unlock()
-		return nil, "", ErrNotFinished
 	}
+	return nil, "", ErrNotFinished
 }
 
 // ManifestBySpec returns the stored manifest for a spec hash, straight
@@ -802,39 +767,21 @@ func (m *Manager) ManifestBySpec(specHash string) ([]byte, string, bool) {
 	return st.Get(specHash)
 }
 
+// statusLocked returns j's record with the three fields that depend on
+// the clock or the queue filled in: QueuePos, QueueWaitS and ExecS
+// (still ticking while the job runs).
 func (m *Manager) statusLocked(j *job) Status {
-	st := Status{
-		ID:          j.id,
-		State:       j.state,
-		SpecHash:    j.hash,
-		Spec:        j.sp,
-		Experiment:  j.experiment,
-		Done:        j.done,
-		Total:       j.total,
-		CacheHit:    j.cacheHit,
-		Interrupted: j.interrupted,
-		Restored:    j.restored,
-		Address:     j.res.Address,
-	}
+	st := j.Status
 	if !j.startedAt.IsZero() {
 		st.QueueWaitS = j.startedAt.Sub(j.submittedAt).Seconds()
-		if !j.finishedAt.IsZero() {
-			st.ExecS = j.finishedAt.Sub(j.startedAt).Seconds()
-		} else if j.state == StateRunning {
-			// Still executing: echo the duration so far.
-			st.ExecS = m.now().Sub(j.startedAt).Seconds()
+		end := j.finishedAt
+		if end.IsZero() {
+			end = m.now()
 		}
+		st.ExecS = end.Sub(j.startedAt).Seconds()
 	}
-	if j.err != nil {
-		st.Error = j.err.Error()
-	}
-	if j.state == StateQueued {
-		for i, q := range m.queue {
-			if q == j {
-				st.QueuePos = i + 1
-				break
-			}
-		}
+	if j.State == StateQueued {
+		st.QueuePos = slices.Index(m.queue, j) + 1
 	}
 	return st
 }

@@ -109,7 +109,7 @@ func (m *Manager) RetryAfterHint() time.Duration {
 	m.mu.Lock()
 	ahead := len(m.queue)
 	for _, j := range m.live {
-		if j.state == StateRunning {
+		if j.State == StateRunning {
 			ahead++
 		}
 	}

@@ -2,9 +2,13 @@ package jobs
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
+	"maps"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"github.com/moatlab/melody/internal/melody/spec"
 	"github.com/moatlab/melody/internal/obs/tracespan"
@@ -147,5 +151,146 @@ func TestUntracedSubmitRecordsNothing(t *testing.T) {
 	<-done
 	if n := store.Len(); n != 0 {
 		t.Fatalf("untraced submission stored %d traces, want 0", n)
+	}
+}
+
+// tracedHarness runs a manager whose submissions each arrive under
+// their own http root span, and records every event it emits.
+type tracedHarness struct {
+	m      *Manager
+	g      *gatedExecutor
+	tr     *tracespan.Tracer
+	cancel context.CancelFunc
+	traces map[string]string // job id → submitting trace id
+
+	mu  sync.Mutex
+	evs []Event
+}
+
+func newTracedHarness(t *testing.T, exec Executor) *tracedHarness {
+	t.Helper()
+	h := &tracedHarness{g: newGatedExecutor(), tr: tracespan.NewTracer(tracespan.NewStore()), traces: map[string]string{}}
+	if exec == nil {
+		exec = h.g.exec
+	}
+	h.m = New(exec, 4)
+	h.m.SetTracer(h.tr)
+	h.m.SetNotify(func(ev Event) {
+		h.mu.Lock()
+		h.evs = append(h.evs, ev)
+		h.mu.Unlock()
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	h.cancel = cancel
+	done := make(chan struct{})
+	go func() { h.m.Run(ctx); close(done) }()
+	t.Cleanup(func() { cancel(); <-done })
+	return h
+}
+
+func (h *tracedHarness) submit(t *testing.T, seed uint64) Status {
+	t.Helper()
+	rctx, root := h.tr.StartRoot(context.Background(), "http", tracespan.SpanContext{})
+	defer root.End()
+	st, err := h.m.SubmitCtx(rctx, testSpec(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if root.TraceID() == "" {
+		t.Fatal("root span has no trace id")
+	}
+	h.traces[st.ID] = root.TraceID()
+	return st
+}
+
+// event polls until the manager has emitted a typ event for job id.
+func (h *tracedHarness) event(t *testing.T, id, typ string) Event {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		h.mu.Lock()
+		for _, ev := range h.evs {
+			if ev.JobID == id && ev.Type == typ {
+				h.mu.Unlock()
+				return ev
+			}
+		}
+		h.mu.Unlock()
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s event for %s", typ, id)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestTracedJobEventFields pins the JSON fields of each job-level event
+// a traced submission emits — the payload a /runs/{id}/events client
+// reads — on every lifecycle path. Each one carries the submitting
+// request's trace id, the drain-canceled job_finished included.
+func TestTracedJobEventFields(t *testing.T) {
+	boom := func(ctx context.Context, sp spec.RunSpec, notify func(Event)) (ExecResult, error) {
+		return ExecResult{}, errors.New("boom")
+	}
+	for _, c := range []struct {
+		name string
+		exec Executor // nil: the harness's gated executor
+		// drive runs the scenario and returns the job whose event is pinned.
+		drive func(t *testing.T, h *tracedHarness) Status
+		typ   string
+		want  map[string]any // fields beyond type, job, spec_hash and trace_id
+	}{
+		{"queued", nil, func(t *testing.T, h *tracedHarness) Status {
+			return h.submit(t, 1)
+		}, EventQueued, map[string]any{"state": "queued"}},
+		{"started", nil, func(t *testing.T, h *tracedHarness) Status {
+			st := h.submit(t, 1)
+			<-h.g.started
+			return st
+		}, EventStarted, map[string]any{"state": "running"}},
+		{"done", nil, func(t *testing.T, h *tracedHarness) Status {
+			close(h.g.release)
+			return h.submit(t, 1)
+		}, EventFinished, map[string]any{"state": "done"}},
+		{"interrupted", nil, func(t *testing.T, h *tracedHarness) Status {
+			st := h.submit(t, 1)
+			<-h.g.started
+			h.cancel()
+			return st
+		}, EventFinished, map[string]any{"state": "done", "interrupted": true}},
+		{"failed", boom, func(t *testing.T, h *tracedHarness) Status {
+			return h.submit(t, 1)
+		}, EventFinished, map[string]any{"state": "failed", "error": "boom"}},
+		{"store-answered", nil, func(t *testing.T, h *tracedHarness) Status {
+			close(h.g.release)
+			waitState(t, h.m, h.submit(t, 1).ID, StateDone)
+			return h.submit(t, 1)
+		}, EventFinished, map[string]any{"state": "done", "cache_hit": true}},
+		{"drain-canceled", nil, func(t *testing.T, h *tracedHarness) Status {
+			h.submit(t, 1)
+			<-h.g.started
+			st := h.submit(t, 2)
+			h.m.StartDrain()
+			return st
+		}, EventFinished, map[string]any{"state": "canceled"}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			h := newTracedHarness(t, c.exec)
+			st := c.drive(t, h)
+			raw, err := json.Marshal(h.event(t, st.ID, c.typ))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got map[string]any
+			if err := json.Unmarshal(raw, &got); err != nil {
+				t.Fatal(err)
+			}
+			want := map[string]any{"type": c.typ, "job": st.ID, "spec_hash": st.SpecHash, "trace_id": h.traces[st.ID]}
+			maps.Copy(want, c.want)
+			for _, k := range []string{"type", "state", "job", "spec_hash", "trace_id", "cache_hit", "interrupted", "error"} {
+				if got[k] != want[k] {
+					t.Errorf("%s = %v, want %v (event %s)", k, got[k], want[k], raw)
+				}
+			}
+		})
 	}
 }
