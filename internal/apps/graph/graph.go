@@ -51,16 +51,24 @@ const DefaultDegree = 12
 // Build constructs the named synthetic graph ("twitter", "web", "kron",
 // "urand", "road") at the given scale.
 func Build(name string, n uint32, degree int, seed uint64) *Graph {
+	g := &Graph{Name: name, N: n}
+	if name == "road" {
+		g.Offsets, g.Edges = roadCSR(n)
+	} else {
+		g.Offsets, g.Edges = assemble(n, generate(name, n, degree, seed))
+	}
+	g.arena = vm.New(2 << 30)
+	g.offsetsObj = g.arena.Alloc("offsets", uint64(n+1)*4)
+	g.edgesObj = g.arena.Alloc("edges", uint64(len(g.Edges))*4)
+	return g
+}
+
+// generate emits the edge list of every generator but road, drawing
+// from one RNG stream seeded with seed.
+func generate(name string, n uint32, degree int, seed uint64) []edge {
 	r := sim.NewRand(seed)
 	m := int(n) * degree
-
-	// Every generator emits at most m edges but road, which emits at
-	// most 4 per node; sizing the list up front avoids regrowing it.
-	maxEdges := m
-	if name == "road" {
-		maxEdges = 4 * int(n)
-	}
-	edges := make([]edge, 0, maxEdges)
+	edges := make([]edge, 0, m)
 	addEdge := func(u, v uint32) {
 		if u != v {
 			edges = append(edges, edge{u, v})
@@ -73,7 +81,10 @@ func Build(name string, n uint32, degree int, seed uint64) *Graph {
 			addEdge(uint32(r.Uint64n(uint64(n))), uint32(r.Uint64n(uint64(n))))
 		}
 	case "kron":
-		// RMAT with the GAPBS parameters (a=0.57, b=0.19, c=0.19).
+		// RMAT with the GAPBS parameters (a=0.57, b=0.19, c=0.19). Each
+		// bit picks a quadrant without branching: u's bit is set in the
+		// bottom half (c, d: p >= 0.76) and v's in the right half (b:
+		// 0.57 <= p < 0.76, d: p >= 0.95).
 		bits := 0
 		for 1<<bits < int(n) {
 			bits++
@@ -82,16 +93,9 @@ func Build(name string, n uint32, degree int, seed uint64) *Graph {
 			var u, v uint32
 			for b := 0; b < bits; b++ {
 				p := r.Float64()
-				switch {
-				case p < 0.57: // a: top-left
-				case p < 0.76: // b: top-right
-					v |= 1 << b
-				case p < 0.95: // c: bottom-left
-					u |= 1 << b
-				default: // d: bottom-right
-					u |= 1 << b
-					v |= 1 << b
-				}
+				bottom := p >= 0.76
+				u |= bit(bottom) << b
+				v |= bit(p >= 0.57 != bottom != (p >= 0.95)) << b
 			}
 			if u < n && v < n {
 				addEdge(u, v)
@@ -127,53 +131,76 @@ func Build(name string, n uint32, degree int, seed uint64) *Graph {
 			}
 			addEdge(u, v)
 		}
-	case "road":
-		// Grid-like: ~4 neighbours with adjacent ids.
-		side := uint32(1)
-		for side*side < n {
-			side++
-		}
-		for u := uint32(0); u < n; u++ {
-			x, y := u%side, u/side
-			if x+1 < side && u+1 < n {
-				addEdge(u, u+1)
-				addEdge(u+1, u)
-			}
-			if y+1 < side && u+side < n {
-				addEdge(u, u+side)
-				addEdge(u+side, u)
-			}
-		}
 	default:
 		panic("graph: unknown generator " + name)
 	}
+	return edges
+}
 
-	// CSR assembly as in the GAPBS builder: count out-degrees, prefix-sum
-	// them so Offsets[u] is the end of u's range, then place the edges
-	// back to front, moving each Offsets[u] down to the start of u's
-	// range. Each range then holds u's targets in emission order.
-	g := &Graph{Name: name, N: n}
-	g.Offsets = make([]uint32, n+1)
+// bit is 1 for true and 0 for false.
+func bit(b bool) uint32 {
+	if b {
+		return 1
+	}
+	return 0
+}
+
+// assemble builds CSR arrays from an edge list as the GAPBS builder
+// does: count out-degrees, prefix-sum them so offsets[u] is the end of
+// u's range, then place the edges back to front, moving each offsets[u]
+// down to the start of u's range, and sort each range.
+func assemble(n uint32, edges []edge) (offsets, targets []uint32) {
+	offsets = make([]uint32, n+1)
 	for _, e := range edges {
-		g.Offsets[e.u]++
+		offsets[e.u]++
 	}
 	for u := uint32(1); u <= n; u++ {
-		g.Offsets[u] += g.Offsets[u-1]
+		offsets[u] += offsets[u-1]
 	}
-	g.Edges = make([]uint32, len(edges))
+	targets = make([]uint32, len(edges))
 	for i := len(edges) - 1; i >= 0; i-- {
 		e := edges[i]
-		g.Offsets[e.u]--
-		g.Edges[g.Offsets[e.u]] = e.v
+		offsets[e.u]--
+		targets[offsets[e.u]] = e.v
 	}
 	for u := uint32(0); u < n; u++ {
-		slices.Sort(g.Edges[g.Offsets[u]:g.Offsets[u+1]])
+		slices.Sort(targets[offsets[u]:offsets[u+1]])
 	}
+	return offsets, targets
+}
 
-	g.arena = vm.New(2 << 30)
-	g.offsetsObj = g.arena.Alloc("offsets", uint64(n+1)*4)
-	g.edgesObj = g.arena.Alloc("edges", uint64(len(g.Edges))*4)
-	return g
+// roadCSR writes road's CSR arrays directly. Road is a grid with side
+// columns, the smallest side with side*side >= n; node u = y*side + x
+// links to each grid neighbour that exists: u-side, u-1, u+1, u+side,
+// already in sorted order. Road draws no random numbers.
+func roadCSR(n uint32) (offsets, targets []uint32) {
+	side := uint32(1)
+	for side*side < n {
+		side++
+	}
+	offsets = make([]uint32, n+1)
+	targets = make([]uint32, 0, 4*int(n))
+	u := uint32(0)
+	for y := uint32(0); u < n; y++ {
+		for x := uint32(0); x < side && u < n; x++ {
+			offsets[u] = uint32(len(targets))
+			if y > 0 {
+				targets = append(targets, u-side)
+			}
+			if x > 0 {
+				targets = append(targets, u-1)
+			}
+			if x+1 < side && u+1 < n {
+				targets = append(targets, u+1)
+			}
+			if u+side < n {
+				targets = append(targets, u+side)
+			}
+			u++
+		}
+	}
+	offsets[n] = uint32(len(targets))
+	return offsets, targets
 }
 
 // Graphs are expensive to build, so instances are cached per name for

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -111,6 +112,39 @@ func TestBuildByteIdentity(t *testing.T) {
 	const road = "f66590b98a32894277d2409e1f36ea25b69d63ddbb5b09dc0e7c9907184530ad"
 	if got := digest(Get("road")); got != road {
 		t.Errorf("road at DefaultNodes: digest %s, want %s", got, road)
+	}
+}
+
+// roadEdges is road's grid as an edge list, emitted as the edge-list
+// builder once did: for each node, its right then lower neighbour, each
+// edge in both directions.
+func roadEdges(n uint32) []edge {
+	side := uint32(1)
+	for side*side < n {
+		side++
+	}
+	var edges []edge
+	for u := uint32(0); u < n; u++ {
+		x, y := u%side, u/side
+		if x+1 < side && u+1 < n {
+			edges = append(edges, edge{u, u + 1}, edge{u + 1, u})
+		}
+		if y+1 < side && u+side < n {
+			edges = append(edges, edge{u, u + side}, edge{u + side, u})
+		}
+	}
+	return edges
+}
+
+// TestRoadMatchesEdgeList: road's direct CSR equals the edge-list
+// builder's on its grid, at sizes where the last row is partial.
+func TestRoadMatchesEdgeList(t *testing.T) {
+	for _, n := range []uint32{2, 3, 5, 17, testN + 7} {
+		offsets, targets := assemble(n, roadEdges(n))
+		g := Build("road", n, DefaultDegree, 1)
+		if !slices.Equal(g.Offsets, offsets) || !slices.Equal(g.Edges, targets) {
+			t.Errorf("road at %d nodes: direct CSR differs from the edge-list build", n)
+		}
 	}
 }
 

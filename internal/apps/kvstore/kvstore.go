@@ -94,7 +94,10 @@ func image(cfg Config) *Store {
 	return get()
 }
 
-// populate builds a store and inserts cfg.Keys records.
+// populate builds a store and inserts cfg.Keys records into one flat
+// table by linear probing, then cuts the table into pages. Each page
+// is a three-index slice of the table, so a store's first write to it
+// copies only that page.
 func populate(cfg Config) *Store {
 	nSlots := uint64(1)
 	for nSlots < cfg.Keys*2 {
@@ -104,13 +107,18 @@ func populate(cfg Config) *Store {
 	s.arena = vm.New(4 << 30)
 	s.table = s.arena.Alloc("hashtable", nSlots*16)
 	s.values = s.arena.Alloc("valuelog", (cfg.Keys+cfg.Keys/4)*cfg.ValueSize)
-	pageLen := min(nSlots, pageSlots)
-	for range nSlots / pageLen {
-		s.pages = append(s.pages, make([]slot, pageLen))
-		s.owned = append(s.owned, true)
-	}
+	table := make([]slot, nSlots)
 	for k := uint64(1); k <= cfg.Keys; k++ {
-		s.insert(k, s.allocValue())
+		h := hashKey(k) & (nSlots - 1)
+		for table[h].key != 0 {
+			h = (h + 1) & (nSlots - 1)
+		}
+		table[h] = slot{key: k, valAddr: s.allocValue()}
+	}
+	pageLen := min(nSlots, pageSlots)
+	for p := uint64(0); p < nSlots; p += pageLen {
+		s.pages = append(s.pages, table[p:p+pageLen:p+pageLen])
+		s.owned = append(s.owned, true)
 	}
 	return s
 }
@@ -144,7 +152,8 @@ func (s *Store) put(h uint64, sl slot) {
 	s.pages[p][h%pageSlots] = sl
 }
 
-// insert adds a key without simulation (load phase only).
+// insert adds a key without simulation (YCSB's inserts place the new
+// key before their simulated Set).
 func (s *Store) insert(key, valAddr uint64) {
 	h := hashKey(key) & (s.nSlots - 1)
 	for k := s.at(h).key; k != 0 && k != key; k = s.at(h).key {

@@ -1,6 +1,9 @@
 package kvstore
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"slices"
 	"sync"
@@ -246,5 +249,62 @@ func BenchmarkKVStoreNew(b *testing.B) {
 		for k := uint64(1); k <= 1000; k++ {
 			s.Set(m, k*1021)
 		}
+	}
+}
+
+// imageDigest is the sha256 of an image's slots, each as its key and
+// value address in little-endian uint64s, then its log head.
+func imageDigest(s *Store) string {
+	h := sha256.New()
+	var b [16]byte
+	for _, sl := range slots(s) {
+		binary.LittleEndian.PutUint64(b[:8], sl.key)
+		binary.LittleEndian.PutUint64(b[8:], sl.valAddr)
+		h.Write(b[:])
+	}
+	binary.LittleEndian.PutUint64(b[:8], s.logHead)
+	h.Write(b[:8])
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestImageByteIdentity pins the slot layout and log head that
+// population leaves for the Redis, memcached and unit-test configs.
+// The digests come from the page-by-page insert that the flat-table
+// populate replaced. No Config's population wraps a probe past the
+// table's last slot: at every table size up to 1<<23 slots, keys
+// 1..Keys leave slot 0 empty and no displaced key reaches the last
+// slot.
+func TestImageByteIdentity(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		want string
+	}{
+		{"redis", RedisConfig(), "c77b865d9a5491b053ef328df4c2e869a5f7a235021bcadf59d63afbbdefeef0"},
+		{"memcached", MemcachedConfig(), "fab47b16596a6f674ea798ba61cd48123450ce87521e03eb307b87ba03ef4156"},
+		{"small", smallConfig(), "1edbfa01affa18ccf1b5143c19b07e7e752286c03fabc230e1d407734a732707"},
+	} {
+		if got := imageDigest(populate(c.cfg)); got != c.want {
+			t.Errorf("%s: image digest %s, want %s", c.name, got, c.want)
+		}
+	}
+}
+
+var imageSink *Store
+
+// BenchmarkKVPopulate populates the Redis and memcached images from
+// scratch, bypassing the image cache: the cold set-up cost of a
+// process's first KV-store cell.
+func BenchmarkKVPopulate(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"redis", RedisConfig()}, {"memcached", MemcachedConfig()}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for range b.N {
+				imageSink = populate(c.cfg)
+			}
+		})
 	}
 }

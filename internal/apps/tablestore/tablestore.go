@@ -7,8 +7,6 @@
 package tablestore
 
 import (
-	"sync"
-
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/sim"
@@ -35,11 +33,10 @@ func VoltDBConfig() Config {
 type Table struct {
 	cfg   Config
 	arena *vm.Arena
-	index vm.Object // sorted key array, 8B entries
+	index vm.Object // sorted key array, 8B entries: keys 1..Rows
 	rows  vm.Object // row pages
 	log   vm.Object // redo log
 
-	keys    []uint64 // sorted (dense keys: 1..Rows; kept explicit for realism); shared, read-only
 	logHead uint64
 }
 
@@ -50,30 +47,7 @@ func NewTable(cfg Config) *Table {
 	t.index = t.arena.Alloc("index", cfg.Rows*8)
 	t.rows = t.arena.Alloc("rows", cfg.Rows*cfg.RowSize)
 	t.log = t.arena.Alloc("redolog", 256<<20)
-	t.keys = sortedKeys(cfg.Rows)
 	return t
-}
-
-// Key arrays are cached per row count for the life of the process:
-// tables only read them, so every table of a size shares one.
-var (
-	keysMu sync.Mutex
-	keys   = map[uint64][]uint64{}
-)
-
-// sortedKeys returns the shared key array 1..rows.
-func sortedKeys(rows uint64) []uint64 {
-	keysMu.Lock()
-	defer keysMu.Unlock()
-	k, ok := keys[rows]
-	if !ok {
-		k = make([]uint64, rows)
-		for i := range k {
-			k[i] = uint64(i) + 1
-		}
-		keys[rows] = k
-	}
-	return k
 }
 
 // Arena exposes the table's objects.
@@ -84,23 +58,21 @@ func (t *Table) rowAddr(i uint64) uint64   { return t.rows.Base + i*t.cfg.RowSiz
 
 // find binary-searches the primary index through the machine and
 // returns the row position. Each probe is a dependent load (the next
-// address depends on the comparison result).
+// address depends on the comparison result). The index holds the dense
+// keys 1..Rows, so entry i is i+1.
 func (t *Table) find(m *core.Machine, key uint64) (uint64, bool) {
-	lo, hi := uint64(0), uint64(len(t.keys))
+	lo, hi := uint64(0), t.cfg.Rows
 	for lo < hi {
 		mid := (lo + hi) / 2
 		m.Load(t.indexAddr(mid), true)
 		m.Compute(4)
-		if t.keys[mid] < key {
+		if mid+1 < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < uint64(len(t.keys)) && t.keys[lo] == key {
-		return lo, true
-	}
-	return lo, false
+	return lo, lo < t.cfg.Rows && lo+1 == key
 }
 
 // Select reads one row.

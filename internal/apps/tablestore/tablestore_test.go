@@ -1,7 +1,8 @@
 package tablestore
 
 import (
-	"sync"
+	"math"
+	"slices"
 	"testing"
 
 	"github.com/moatlab/melody/internal/core"
@@ -117,30 +118,77 @@ func TestSpecsShape(t *testing.T) {
 	}
 }
 
-// TestTablesShareKeys builds YCSB tables of one size from several
-// goroutines and requires them to share one key array holding 1..Rows,
-// which running YCSB-F on one of them leaves unchanged.
-func TestTablesShareKeys(t *testing.T) {
-	ycsbs := make([]*YCSB, 4)
-	var wg sync.WaitGroup
-	for i := range ycsbs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			ycsbs[i] = NewYCSB("t", smallConfig(), Mixes()["F"], uint64(i))
-		}(i)
-	}
-	wg.Wait()
-	ycsbs[0].Run(newMachine(100))
-	keys := ycsbs[0].Table().keys
-	for i, y := range ycsbs {
-		if &y.Table().keys[0] != &keys[0] {
-			t.Fatalf("table %d has its own key array", i)
+// logDev is a fixed-latency device that records the line addresses it
+// serves.
+type logDev struct {
+	fixedDev
+	addrs []uint64
+}
+
+func (d *logDev) Access(now float64, addr uint64, kind mem.Kind) float64 {
+	d.addrs = append(d.addrs, addr)
+	return d.fixedDev.Access(now, addr, kind)
+}
+
+// searchKeys is find's reference: the same binary search over an
+// explicit sorted key array.
+func searchKeys(t *Table, m *core.Machine, keys []uint64, key uint64) (uint64, bool) {
+	lo, hi := uint64(0), uint64(len(keys))
+	for lo < hi {
+		mid := (lo + hi) / 2
+		m.Load(t.indexAddr(mid), true)
+		m.Compute(4)
+		if keys[mid] < key {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	for i, k := range keys {
-		if k != uint64(i)+1 {
-			t.Fatalf("keys[%d] = %d, want %d", i, k, i+1)
+	if lo < uint64(len(keys)) && keys[lo] == key {
+		return lo, true
+	}
+	return lo, false
+}
+
+// TestFindMatchesExplicitKeys: find returns what a binary search over
+// the keys 1..Rows returns, and the machine sees the same loads: the
+// same device accesses and bit-identical counters.
+func TestFindMatchesExplicitKeys(t *testing.T) {
+	cfg := smallConfig()
+	tb := NewTable(cfg)
+	keys := make([]uint64, cfg.Rows)
+	for i := range keys {
+		keys[i] = uint64(i) + 1
+	}
+	machine := func() (*core.Machine, *logDev) {
+		d := &logDev{fixedDev: fixedDev{lat: 100}}
+		return core.New(core.Config{CPU: platform.SKX2S().CPU, Device: d, MaxInstructions: 120_000}), d
+	}
+	for _, key := range []uint64{0, 1, cfg.Rows / 2, cfg.Rows, cfg.Rows + 1} {
+		m, d := machine()
+		pos, ok := tb.find(m, key)
+		mRef, dRef := machine()
+		wantPos, wantOK := searchKeys(tb, mRef, keys, key)
+		if len(dRef.addrs) == 0 {
+			t.Fatalf("key %d: the search reached no device", key)
+		}
+		if pos != wantPos || ok != wantOK {
+			t.Errorf("key %d: find = (%d, %v), search over keys = (%d, %v)", key, pos, ok, wantPos, wantOK)
+		}
+		if !slices.Equal(d.addrs, dRef.addrs) {
+			t.Errorf("key %d: find accessed %x, search over keys %x", key, d.addrs, dRef.addrs)
+		}
+		if got, want := m.Counters(), mRef.Counters(); !bitsEqual(got, want) {
+			t.Errorf("key %d: counters differ from the search over keys", key)
 		}
 	}
+}
+
+func bitsEqual(a, b counters.Snapshot) bool {
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }

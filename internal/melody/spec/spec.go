@@ -34,8 +34,9 @@ const DefaultSeed = 1
 
 // Output selects what a run delivers beyond the manifest.
 type Output struct {
-	// Reports includes the rendered per-experiment text reports in the
-	// job result (the CLI always prints them; API clients opt in).
+	// Reports is only hashed: no code reads it. Execute always renders
+	// the text reports, and a job result carries only the manifest. It
+	// stays because removing it would change every spec hash.
 	Reports bool `json:"reports"`
 }
 
