@@ -12,23 +12,15 @@ import (
 // multi-threaded workloads are modelled — one representative core in
 // detail, siblings as calibrated traffic (DESIGN.md §3.2).
 type ContendedDevice struct {
-	inner   mem.Device
-	threads []traffic.Thread
-	wake    []float64
-	alive   []bool
+	inner mem.Device
+	sched *traffic.Scheduler
 }
 
 var _ mem.Device = (*ContendedDevice)(nil)
 
 // NewContendedDevice wraps inner with background threads.
 func NewContendedDevice(inner mem.Device, threads []traffic.Thread) *ContendedDevice {
-	c := &ContendedDevice{inner: inner, threads: threads}
-	c.wake = make([]float64, len(threads))
-	c.alive = make([]bool, len(threads))
-	for i := range c.alive {
-		c.alive[i] = true
-	}
-	return c
+	return &ContendedDevice{inner: inner, sched: traffic.NewScheduler(threads)}
 }
 
 // Name implements mem.Device.
@@ -38,38 +30,15 @@ func (c *ContendedDevice) Name() string { return c.inner.Name() }
 // callers construct fresh threads per run.
 func (c *ContendedDevice) Reset() {
 	c.inner.Reset()
-	for i := range c.wake {
-		c.wake[i] = 0
-		c.alive[i] = true
-	}
+	c.sched.Reset()
 }
 
 // Stats implements mem.Device.
 func (c *ContendedDevice) Stats() mem.DeviceStats { return c.inner.Stats() }
 
-// advance steps background threads up to time now.
-func (c *ContendedDevice) advance(now float64) {
-	for {
-		best := -1
-		for i := range c.threads {
-			if c.alive[i] && (best < 0 || c.wake[i] < c.wake[best]) {
-				best = i
-			}
-		}
-		if best < 0 || c.wake[best] > now {
-			return
-		}
-		next := c.threads[best].Step(c.wake[best])
-		if next <= c.wake[best] {
-			c.alive[best] = false
-			continue
-		}
-		c.wake[best] = next
-	}
-}
-
-// Access implements mem.Device.
+// Access implements mem.Device: background threads are stepped up to
+// now first.
 func (c *ContendedDevice) Access(now float64, addr uint64, kind mem.Kind) float64 {
-	c.advance(now)
+	c.sched.Advance(now)
 	return c.inner.Access(now, addr, kind)
 }

@@ -12,8 +12,9 @@ import (
 
 // Thread is one simulated hardware thread. Step performs the thread's
 // next burst of work starting at now and returns when it should run
-// again. Returning a non-finite or non-increasing wake time stops the
-// thread.
+// again. Returning a wake time that is not later than now (NaN
+// included) stops the thread; a thread that returns +Inf is never
+// stepped again before any finite deadline.
 type Thread interface {
 	Step(now float64) (nextWake float64)
 }
@@ -21,31 +22,82 @@ type Thread interface {
 // Run interleaves threads in wake-time order until the simulated clock
 // passes untilNs. It returns the final clock value.
 func Run(threads []Thread, untilNs float64) float64 {
-	n := len(threads)
-	wake := make([]float64, n)
-	alive := make([]bool, n)
-	for i := range alive {
-		alive[i] = true
+	return NewScheduler(threads).Advance(untilNs)
+}
+
+// Scheduler steps threads in wake-time order, the lower index first on
+// a tie. Every thread first wakes at 0. Live threads sit in a binary
+// min-heap on (wake, index), so a step re-sifts only the top entry and
+// picks exactly the thread a lowest-index-wins scan would.
+type Scheduler struct {
+	threads []Thread
+	heap    []wakeAt
+	now     float64
+}
+
+// wakeAt is one live thread and the time it next wakes.
+type wakeAt struct {
+	wake float64
+	i    int
+}
+
+// NewScheduler schedules threads, each first woken at 0.
+func NewScheduler(threads []Thread) *Scheduler {
+	s := &Scheduler{threads: threads, heap: make([]wakeAt, len(threads))}
+	s.Reset()
+	return s
+}
+
+// Reset revives every thread with wake time 0 and sets the clock to 0.
+// Thread state itself is external.
+func (s *Scheduler) Reset() {
+	s.heap = s.heap[:len(s.threads)]
+	for i := range s.heap {
+		s.heap[i] = wakeAt{0, i}
 	}
-	now := 0.0
-	for {
-		// Pick the earliest-awake live thread (n is small: <= 64).
-		best := -1
-		for i := 0; i < n; i++ {
-			if alive[i] && (best < 0 || wake[i] < wake[best]) {
-				best = i
-			}
+	s.now = 0
+}
+
+// Advance steps threads until every live thread wakes after untilNs and
+// returns the clock: the wake time of the last step taken so far.
+func (s *Scheduler) Advance(untilNs float64) float64 {
+	for len(s.heap) > 0 && s.heap[0].wake <= untilNs {
+		top := &s.heap[0]
+		s.now = top.wake
+		next := s.threads[top.i].Step(s.now)
+		if !(next > s.now) {
+			last := len(s.heap) - 1
+			*top = s.heap[last]
+			s.heap = s.heap[:last]
+		} else {
+			top.wake = next
 		}
-		if best < 0 || wake[best] > untilNs {
-			return now
+		s.down()
+	}
+	return s.now
+}
+
+// less orders entries by wake time, then by thread index.
+func (a wakeAt) less(b wakeAt) bool {
+	return a.wake < b.wake || a.wake == b.wake && a.i < b.i
+}
+
+// down restores the heap order after the top entry changed.
+func (s *Scheduler) down() {
+	h := s.heap
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
 		}
-		now = wake[best]
-		next := threads[best].Step(now)
-		if next <= now {
-			alive[best] = false
-			continue
+		if c+1 < len(h) && h[c+1].less(h[c]) {
+			c++
 		}
-		wake[best] = next
+		if !h[c].less(h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
 	}
 }
 
