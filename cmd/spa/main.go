@@ -10,12 +10,14 @@
 //	spa -workload 605.mcf_s -profile FILE
 //	spa -list
 //
-// -explain drives the period analysis from the cycle-sampled streams
-// (the "simulated perf" layer) instead of the coarse runner samples and
-// prints a phase-resolved narrative: contiguous periods that share a
-// dominant stall source are merged into phases, and each phase's added
-// stalls are attributed to the CXL device's CPMU time split. -csv
-// additionally exports the target run's sampled stream as CSV.
+// The period table samples every 2000 simulated ns. -explain drives
+// the period analysis from cycle-sampled streams (every -sample-every
+// cycles) instead and prints a phase-resolved narrative: contiguous
+// periods that share a dominant stall source are merged into phases,
+// and each phase's added stalls are attributed to the CXL device's
+// CPMU time split. -csv additionally exports the target run's sampled
+// stream as CSV. The cycle-sampled cells run only when -explain, -csv
+// or -profile asks for them.
 //
 // -profile writes the target run's simulated-time pprof profile
 // (stall-attributed sim_cycles/sim_ns over synthetic stacks) to FILE;
@@ -30,6 +32,7 @@ import (
 	"io"
 	"os"
 
+	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/melody"
 	"github.com/moatlab/melody/internal/obs"
@@ -109,21 +112,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 
-	// -explain, -csv and -profile need the cycle-sampled streams;
-	// default to a cadence fine enough for ~dozens of samples per period.
-	every := *sampleEvery
-	if every == 0 && (*explain || *csvPath != "" || *profilePath != "") {
-		every = 4096
-	}
-
-	runner := melody.NewRunner(p)
-	runner.Instructions = *instructions
-	runner.SampleIntervalNs = 2_000
-	runner.SampleEveryCycles = every
-
 	ctx := context.Background()
-	base, _ := runner.RunCtx(ctx, melody.RunRequest{Spec: spec, Config: melody.Local(p)})
-	tgt, _ := runner.RunCtx(ctx, melody.RunRequest{Spec: spec, Config: target})
+	cell := func(cadence core.Cadence, mc melody.MemConfig) melody.Result {
+		runner := melody.NewRunner(p)
+		runner.Instructions = *instructions
+		runner.Cadence = cadence
+		res, _ := runner.RunCtx(ctx, melody.RunRequest{Spec: spec, Config: mc})
+		return res
+	}
+	periodic := core.EveryNs(2_000)
+	base, tgt := cell(periodic, melody.Local(p)), cell(periodic, target)
 	b := spa.Analyze(base.Delta, tgt.Delta)
 
 	fmt.Fprintf(stdout, "%s on %s vs local DRAM (%s):\n", spec.Name, target.Name, p.CPU.Name)
@@ -143,53 +141,60 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
+	if !*explain && *csvPath == "" && *profilePath == "" {
+		return 0
+	}
+	// The cycle-sampled cells default to a cadence fine enough for
+	// ~dozens of samples per period; equal seeds give them the same
+	// counters as the cells above.
+	every := *sampleEvery
+	if every == 0 {
+		every = 4096
+	}
+	tgt = cell(core.EveryCycles(every), target)
+
 	if *explain {
 		per := *instructions / uint64(max(*periods, 1))
-		periods := spa.AnalyzePeriods(
-			sampler.CoreSamplesOf(base.Sampled),
-			sampler.CoreSamplesOf(tgt.Sampled), per)
+		base = cell(core.EveryCycles(every), melody.Local(p))
+		periods := spa.AnalyzePeriods(base.Samples, tgt.Samples, per)
 		rep := spa.NewReport(periods, per)
-		rep.AttributeDevice(tgt.Sampled)
+		rep.AttributeDevice(tgt.Samples)
 		fmt.Fprintf(stdout, "phase-resolved narrative (sampled every %d cycles):\n", every)
 		rep.Narrative(stdout)
 	}
 
-	if *csvPath != "" {
-		f, err := os.Create(*csvPath)
-		if err != nil {
-			fmt.Fprintln(stderr, "spa: csv:", err)
-			return 1
+	for _, out := range []struct {
+		name, path string
+		write      func(io.Writer) error
+	}{
+		{"csv", *csvPath, func(w io.Writer) error { return sampler.WriteCSV(w, tgt.Samples) }},
+		{"profile", *profilePath, func(w io.Writer) error {
+			return melody.BuildProfile([]melody.SampledSeries{{
+				Workload: spec.Name, Config: target.Name, Platform: p.CPU.Name,
+				Samples: tgt.Samples,
+			}}).Write(w)
+		}},
+	} {
+		if out.path == "" {
+			continue
 		}
-		if err := sampler.WriteCSV(f, tgt.Sampled); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "spa: csv:", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(stderr, "spa: csv:", err)
-			return 1
-		}
-	}
-
-	if *profilePath != "" {
-		prof := melody.BuildProfile([]melody.SampledSeries{{
-			Workload: spec.Name, Config: target.Name, Platform: p.CPU.Name,
-			Samples: tgt.Sampled,
-		}})
-		f, err := os.Create(*profilePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "spa: profile:", err)
-			return 1
-		}
-		if err := prof.Write(f); err != nil {
-			f.Close()
-			fmt.Fprintln(stderr, "spa: profile:", err)
-			return 1
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(stderr, "spa: profile:", err)
+		if err := writeFile(out.path, out.write); err != nil {
+			fmt.Fprintf(stderr, "spa: %s: %v\n", out.name, err)
 			return 1
 		}
 	}
 	return 0
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -8,6 +8,7 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/melody"
 	"github.com/moatlab/melody/internal/platform"
@@ -21,7 +22,7 @@ func main() {
 	spec, _ := workload.ByName("602.gcc_s")
 
 	run := melody.NewRunner(emr)
-	run.SampleIntervalNs = 2_000 // time-based counter sampling
+	run.Cadence = core.EveryNs(2_000) // sample counters every 2000 simulated ns
 
 	ctx := context.Background()
 	base, _ := run.RunCtx(ctx, melody.RunRequest{Spec: spec, Config: melody.Local(emr)})

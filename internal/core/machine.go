@@ -40,19 +40,15 @@ type Config struct {
 	// MaxInstructions bounds the run; Done() turns true past it.
 	MaxInstructions uint64
 
-	// SampleIntervalNs enables time-based counter sampling (the paper
-	// samples every 1 ms for period-based Spa analysis).
-	SampleIntervalNs float64
-
-	// Sampler, together with SampleEveryCycles, enables deterministic
-	// cycle-based sampling: the hook receives a counter snapshot every
-	// SampleEveryCycles simulated cycles, derived purely from the sim
-	// clock (never wall time), so sampled streams are bit-identical
-	// across runs and worker schedules. Sampling is observation-only:
-	// the hook cannot change machine state, and the detached path
-	// (Sampler nil) costs one branch and zero allocations per retire.
-	Sampler           Sampler
-	SampleEveryCycles uint64
+	// Sampler, together with a non-zero Cadence, enables deterministic
+	// sampling: the hook receives a counter snapshot once per Cadence,
+	// derived purely from the sim clock (never wall time), so sampled
+	// streams are bit-identical across runs and worker schedules.
+	// Sampling is observation-only: the hook cannot change machine
+	// state, and the detached path (Sampler nil) costs one branch and
+	// zero allocations per retire.
+	Sampler Sampler
+	Cadence Cadence
 
 	// L2PFMaxInflight is the L2 streamer's in-flight budget (issue
 	// slots). 0 selects the default.
@@ -66,11 +62,21 @@ type Sampler interface {
 	Sample(timeNs float64, c counters.Snapshot)
 }
 
-// Sample is one time-based counter reading.
-type Sample struct {
-	TimeNs   float64
-	Counters counters.Snapshot
+// Cadence is a sampling period on the simulated clock: Period ns, or
+// Period core cycles when Cycles is set. The zero Cadence samples
+// nothing. Neither unit can stand in for the other: 2000 ns is not a
+// whole number of cycles at every clock rate (4600 cycles at 2.3 GHz
+// are 2000.0000000000002 ns).
+type Cadence struct {
+	Period float64
+	Cycles bool
 }
+
+// EveryNs returns a cadence of ns simulated nanoseconds.
+func EveryNs(ns float64) Cadence { return Cadence{Period: ns} }
+
+// EveryCycles returns a cadence of n simulated cycles.
+func EveryCycles(n uint64) Cadence { return Cadence{Period: float64(n), Cycles: true} }
 
 // resolution levels for stall classification.
 const (
@@ -111,12 +117,9 @@ type Machine struct {
 	pfBuf []uint64 // L1 streamer proposals being issued
 	l2Buf []uint64 // L2 streamer proposals
 
-	samples      []Sample
+	hook         Sampler
+	sampleStepNs float64
 	nextSampleNs float64
-
-	hook       Sampler
-	hookStepNs float64
-	nextHookNs float64
 
 	regions   []RegionStat
 	preloaded uint64
@@ -134,7 +137,7 @@ func New(cfg Config) *Machine {
 // Reset returns m to the state New(cfg) builds, reusing its caches,
 // prefetchers and queues where cfg keeps their geometry: caches reset
 // in O(1), so a reused machine pays only for the state a cell touches.
-// Samples and region stats handed out before Reset are not reused.
+// Region stats handed out before Reset are not reused.
 func (m *Machine) Reset(cfg Config) {
 	cpu := cfg.CPU
 	if cpu.FreqGHz <= 0 || cpu.RetireWidth <= 0 {
@@ -169,13 +172,13 @@ func (m *Machine) Reset(cfg Config) {
 	} else {
 		m.robRing = make([]float64, cpu.ROB)
 	}
-	if cfg.SampleIntervalNs > 0 {
-		m.nextSampleNs = cfg.SampleIntervalNs
-	}
-	if cfg.Sampler != nil && cfg.SampleEveryCycles > 0 {
+	if cfg.Sampler != nil && cfg.Cadence.Period > 0 {
 		m.hook = cfg.Sampler
-		m.hookStepNs = float64(cfg.SampleEveryCycles) * m.nsPerCycle
-		m.nextHookNs = m.hookStepNs
+		m.sampleStepNs = cfg.Cadence.Period
+		if cfg.Cadence.Cycles {
+			m.sampleStepNs *= m.nsPerCycle
+		}
+		m.nextSampleNs = m.sampleStepNs
 	}
 }
 
@@ -235,28 +238,18 @@ func (m *Machine) Counters() counters.Snapshot {
 	return c
 }
 
-// Samples returns time-based counter samples (if sampling was enabled).
-func (m *Machine) Samples() []Sample { return m.samples }
-
 // cycles converts a ns duration to cycles.
 func (m *Machine) cycles(ns float64) float64 { return ns / m.nsPerCycle }
 
-// maybeSample records counter snapshots at the configured cadences:
-// the time-based series (SampleIntervalNs) and the cycle-based hook
-// (Sampler + SampleEveryCycles). Both cadences derive from the sim
-// clock, so sampling is deterministic; with neither configured this is
-// two predictable branches and no work.
+// maybeSample hands the Sampler a counter snapshot at every cadence
+// step the retire clock has passed. The cadence derives from the sim
+// clock, so sampling is deterministic; detached, this is one
+// predictable branch and no work.
 func (m *Machine) maybeSample() {
-	if m.nextSampleNs != 0 {
-		for m.retireNs >= m.nextSampleNs {
-			m.samples = append(m.samples, Sample{TimeNs: m.nextSampleNs, Counters: m.Counters()})
-			m.nextSampleNs += m.cfg.SampleIntervalNs
-		}
-	}
 	if m.hook != nil {
-		for m.retireNs >= m.nextHookNs {
-			m.hook.Sample(m.nextHookNs, m.Counters())
-			m.nextHookNs += m.hookStepNs
+		for m.retireNs >= m.nextSampleNs {
+			m.hook.Sample(m.nextSampleNs, m.Counters())
+			m.nextSampleNs += m.sampleStepNs
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"github.com/moatlab/melody/internal/counters"
@@ -249,20 +250,20 @@ func TestPortUtilCounters(t *testing.T) {
 }
 
 func TestSampling(t *testing.T) {
-	m := New(Config{CPU: testCPU(), Device: &fixedDev{lat: 200}, SampleIntervalNs: 1000})
+	rec := &recordingSampler{}
+	m := New(Config{CPU: testCPU(), Device: &fixedDev{lat: 200}, Sampler: rec, Cadence: EveryNs(1000)})
 	r := sim.NewRand(7)
 	for i := 0; i < 20000; i++ {
 		m.Load(r.Uint64n((1<<30)/mem.LineSize)*mem.LineSize, true)
 	}
-	s := m.Samples()
-	if len(s) < 10 {
-		t.Fatalf("only %d samples", len(s))
+	if len(rec.times) < 10 {
+		t.Fatalf("only %d samples", len(rec.times))
 	}
-	for i := 1; i < len(s); i++ {
-		if s[i].TimeNs <= s[i-1].TimeNs {
+	for i := 1; i < len(rec.times); i++ {
+		if rec.times[i] <= rec.times[i-1] {
 			t.Fatal("samples not time-ordered")
 		}
-		if s[i].Counters[counters.Cycles] < s[i-1].Counters[counters.Cycles] {
+		if rec.ctrs[i][counters.Cycles] < rec.ctrs[i-1][counters.Cycles] {
 			t.Fatal("counter samples not monotone")
 		}
 	}
@@ -425,7 +426,7 @@ func TestCycleSamplerHookCadence(t *testing.T) {
 	const every = 5000
 	rec := &recordingSampler{}
 	m := New(Config{CPU: testCPU(), Device: &fixedDev{lat: 200},
-		Sampler: rec, SampleEveryCycles: every})
+		Sampler: rec, Cadence: EveryCycles(every)})
 	r := sim.NewRand(7)
 	for i := 0; i < 20000; i++ {
 		m.Load(r.Uint64n((1<<30)/mem.LineSize)*mem.LineSize, true)
@@ -448,6 +449,84 @@ func TestCycleSamplerHookCadence(t *testing.T) {
 	}
 }
 
+// oldLoops keeps the machine's two sampling loops from before they
+// were folded into one cadence: a time series every intervalNs
+// simulated ns, and a hook every everyCycles cycles whose step is
+// float64(everyCycles) * (1 / FreqGHz). Each loop samples first at
+// its step and then at next += step.
+type oldLoops struct {
+	intervalNs, hookStepNs float64
+	nextNs, nextHookNs     float64
+	ns, cycles             recordingSampler
+}
+
+func newOldLoops(cpu platform.CPU, intervalNs float64, everyCycles uint64) *oldLoops {
+	nsPerCycle := 1 / cpu.FreqGHz
+	o := &oldLoops{intervalNs: intervalNs, hookStepNs: float64(everyCycles) * nsPerCycle}
+	o.nextNs, o.nextHookNs = o.intervalNs, o.hookStepNs
+	return o
+}
+
+// observe runs both old loops at the machine's current retire time.
+func (o *oldLoops) observe(m *Machine) {
+	for m.retireNs >= o.nextNs {
+		o.ns.Sample(o.nextNs, m.Counters())
+		o.nextNs += o.intervalNs
+	}
+	for m.retireNs >= o.nextHookNs {
+		o.cycles.Sample(o.nextHookNs, m.Counters())
+		o.nextHookNs += o.hookStepNs
+	}
+}
+
+// TestCadenceMatchesOldLoops requires the one cadence to sample at the
+// same times, with the same counters, as the old ns and cycle loops, on
+// every platform CPU — EMR2S' runs at 2.3 GHz, where 4600 cycles are
+// not exactly 2000 ns. The old loops run after each op, so prefetchers
+// are off: with them on, an op changes prefetch counters after the
+// machine has sampled.
+func TestCadenceMatchesOldLoops(t *testing.T) {
+	for _, p := range platform.Platforms() {
+		runs := map[bool]*recordingSampler{}
+		for _, cad := range []Cadence{EveryNs(2000), EveryCycles(4600)} {
+			rec := &recordingSampler{}
+			runs[cad.Cycles] = rec
+			m := New(Config{CPU: p.CPU, Device: &fixedDev{lat: 180}, PrefetchersOff: true,
+				Sampler: rec, Cadence: cad})
+			old := newOldLoops(p.CPU, 2000, 4600)
+			r := sim.NewRand(5)
+			for i := 0; i < 30_000; i++ {
+				switch r.Uint64n(4) {
+				case 0:
+					m.Load(r.Uint64n((1<<30)/mem.LineSize)*mem.LineSize, r.Uint64n(2) == 0)
+				case 1:
+					m.Store(r.Uint64n(1<<20) * mem.LineSize)
+				case 2:
+					m.ComputeILP(1+r.Uint64n(16), float64(1+r.Uint64n(4)))
+				default:
+					if r.Uint64n(50) == 0 {
+						m.Serialize()
+					}
+				}
+				old.observe(m)
+			}
+			want := &old.ns
+			if cad.Cycles {
+				want = &old.cycles
+			}
+			if len(want.times) < 50 {
+				t.Fatalf("%s %v: only %d old-loop samples", p.CPU.Name, cad, len(want.times))
+			}
+			if !reflect.DeepEqual(rec, want) {
+				t.Errorf("%s %v: %d samples differ from the old loop's %d", p.CPU.Name, cad, len(rec.times), len(want.times))
+			}
+		}
+		if p.CPU.FreqGHz == 2.3 && runs[true].times[0] == runs[false].times[0] {
+			t.Errorf("%s: 4600 cycles sampled at exactly 2000 ns", p.CPU.Name)
+		}
+	}
+}
+
 // TestCycleSamplerObservationOnly pins the invariant the whole sampling
 // subsystem rests on: attaching a Sampler changes nothing about the run.
 func TestCycleSamplerObservationOnly(t *testing.T) {
@@ -455,7 +534,7 @@ func TestCycleSamplerObservationOnly(t *testing.T) {
 		cfg := Config{CPU: testCPU(), Device: &fixedDev{lat: 200}}
 		if hook != nil {
 			cfg.Sampler = hook
-			cfg.SampleEveryCycles = 2000
+			cfg.Cadence = EveryCycles(2000)
 		}
 		m := New(cfg)
 		r := sim.NewRand(3)

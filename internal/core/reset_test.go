@@ -14,18 +14,16 @@ import (
 // cellOutput is everything a cell reads off its machine.
 type cellOutput struct {
 	Counters, Warm counters.Snapshot
-	Samples        []Sample
 	Regions        []RegionStat
-	Hooked         []float64
+	Hooked         recordingSampler
 }
 
 // runCell drives m through a seeded cell the way the runner does:
 // regions, preload, a warmup window, then the measured window, with
-// time and cycle sampling on.
+// cycle sampling on.
 func runCell(m *Machine, cfg Config, seed uint64) cellOutput {
 	rec := &recordingSampler{}
-	cfg.Sampler, cfg.SampleEveryCycles = rec, 3000
-	cfg.SampleIntervalNs = 2000
+	cfg.Sampler, cfg.Cadence = rec, EveryCycles(3000)
 	cfg.MaxInstructions = 10_000
 	m.Reset(cfg)
 	a := vm.New(1 << 30)
@@ -64,7 +62,7 @@ func runCell(m *Machine, cfg Config, seed uint64) cellOutput {
 	warm := m.Counters()
 	m.SetMaxInstructions(40_000)
 	step()
-	return cellOutput{m.Counters(), warm, m.Samples(), m.RegionStats(), rec.times}
+	return cellOutput{m.Counters(), warm, m.RegionStats(), *rec}
 }
 
 // TestReusedMachineMatchesNew requires a cell's output to be
@@ -83,13 +81,13 @@ func TestReusedMachineMatchesNew(t *testing.T) {
 		m := &Machine{}
 		first := runCell(m, prev, 2)
 		firstCopy := cellOutput{first.Counters, first.Warm,
-			append([]Sample(nil), first.Samples...), append([]RegionStat(nil), first.Regions...), first.Hooked}
+			append([]RegionStat(nil), first.Regions...), first.Hooked}
 		cfg.Device.Reset()
 		if got := runCell(m, cfg, 1); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: reused machine's cell differs from a new machine's", name)
 		}
 		if !reflect.DeepEqual(first, firstCopy) {
-			t.Errorf("%s: the next cell changed samples or regions handed out earlier", name)
+			t.Errorf("%s: the next cell changed regions handed out earlier", name)
 		}
 	}
 }

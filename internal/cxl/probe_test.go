@@ -157,3 +157,27 @@ func TestComponentDeltaDifferencesAccumulators(t *testing.T) {
 		t.Fatalf("delta from zero state = %v, want cumulative %v", zlr, a.LinkReqNs)
 	}
 }
+
+// BenchmarkCXLAccess times one synthetic CXL-B demand read issued 5 ns
+// after the previous one, with the state probe off and on. The
+// difference is what a sampled cell pays per device access.
+func BenchmarkCXLAccess(b *testing.B) {
+	for _, probe := range []bool{false, true} {
+		name := "probe=off"
+		if probe {
+			name = "probe=on"
+		}
+		b.Run(name, func(b *testing.B) {
+			d := New(ProfileB(), 1)
+			if probe {
+				d.EnableStateProbe()
+			}
+			r := sim.NewRand(3)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				d.Access(float64(i+1)*5, r.Uint64n(1<<30)&^(mem.LineSize-1), mem.DemandRead)
+			}
+		})
+	}
+}

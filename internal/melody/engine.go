@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/obs/tracespan"
 	"github.com/moatlab/melody/internal/platform"
@@ -110,7 +111,7 @@ func (g *Engine) newRunner(p platform.Platform) *Runner {
 	if o.Warmup > 0 {
 		r.Warmup = o.Warmup
 	}
-	r.SampleEveryCycles = o.SampleEveryCycles
+	r.Cadence = core.EveryCycles(o.SampleEveryCycles)
 	return r
 }
 

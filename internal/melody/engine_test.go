@@ -11,6 +11,7 @@ import (
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/mem"
+	"github.com/moatlab/melody/internal/obs/sampler"
 	"github.com/moatlab/melody/internal/platform"
 	"github.com/moatlab/melody/internal/workload"
 )
@@ -109,7 +110,7 @@ func TestReusedMachineKeepsResults(t *testing.T) {
 	emr := platform.EMR2S()
 	r := fastRunner(emr)
 	r.Instructions, r.Warmup = 100_000, 25_000
-	r.SampleIntervalNs = 10_000
+	r.Cadence = core.EveryNs(10_000)
 	r.Workers = 1
 	run := func(name string) Result {
 		spec, ok := workload.ByName(name)
@@ -127,7 +128,7 @@ func TestReusedMachineKeepsResults(t *testing.T) {
 		t.Fatalf("cell has %d regions and %d samples; the test needs both", len(first.Regions), len(first.Samples))
 	}
 	regions := append([]core.RegionStat(nil), first.Regions...)
-	samples := append([]core.Sample(nil), first.Samples...)
+	samples := append([]sampler.Sample(nil), first.Samples...)
 	run("520.omnetpp_r")
 	if !reflect.DeepEqual(first.Regions, regions) || !reflect.DeepEqual(first.Samples, samples) {
 		t.Fatal("a later cell on the reused machine changed an earlier result's Regions or Samples")
@@ -153,11 +154,6 @@ func TestMachinePoolSharedAcrossRunners(t *testing.T) {
 	skx.CPU.Name = "SKX2S-pool-test"
 	specs := testSubset(t, 8)[:3]
 	const workers = 2
-	runner := func(g *Engine, p platform.Platform) *Runner {
-		r := g.runner(p)
-		r.SampleIntervalNs = 10_000
-		return r
-	}
 	engine := func(seed uint64) *Engine {
 		g := NewEngine(Options{Instructions: 100_000, Warmup: 25_000, SampleEveryCycles: 20_000, Seed: seed})
 		g.Workers = workers
@@ -170,21 +166,21 @@ func TestMachinePoolSharedAcrossRunners(t *testing.T) {
 	}
 	x := []RunRequest{{Spec: specs[0], Config: CXL(emr, cxl.ProfileA())}}
 	runX := func() Result {
-		res := must(runner(engine(1), emr).RunAll(ctx, x))
+		res := must(engine(1).runner(emr).RunAll(ctx, x))
 		if n := idle(emr.CPU); n < 1 || n > workers {
 			t.Fatalf("%d idle machines for %s after a cell, want 1..%d", n, emr.CPU.Name, workers)
 		}
 		return res[0]
 	}
 	first := runX()
-	if len(first.Samples) == 0 || len(first.Sampled) == 0 || len(first.Regions) == 0 {
-		t.Fatalf("cell has %d samples, %d sampled and %d regions; the test needs all three",
-			len(first.Samples), len(first.Sampled), len(first.Regions))
+	if len(first.Samples) == 0 || len(first.Regions) == 0 {
+		t.Fatalf("cell has %d samples and %d regions; the test needs both",
+			len(first.Samples), len(first.Regions))
 	}
 
 	var wg sync.WaitGroup
 	for _, p := range []platform.Platform{sameCPU, sameCPU, skx} {
-		r := runner(engine(2), p)
+		r := engine(2).runner(p)
 		r.PrefetchersOff = true
 		wg.Add(1)
 		go func() {
@@ -203,7 +199,7 @@ func TestMachinePoolSharedAcrossRunners(t *testing.T) {
 
 	again := runX()
 	if !reflect.DeepEqual(first.Delta, again.Delta) || !reflect.DeepEqual(first.Samples, again.Samples) ||
-		!reflect.DeepEqual(first.Sampled, again.Sampled) || !reflect.DeepEqual(first.Regions, again.Regions) {
+		!reflect.DeepEqual(first.Regions, again.Regions) {
 		t.Fatal("a cell on a machine reused across Engines differs from its first run")
 	}
 }

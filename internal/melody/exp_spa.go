@@ -1,9 +1,11 @@
 package melody
 
 import (
+	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/counters"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/mem"
+	"github.com/moatlab/melody/internal/obs/tracespan"
 	"github.com/moatlab/melody/internal/platform"
 	"github.com/moatlab/melody/internal/spa"
 	"github.com/moatlab/melody/internal/stats"
@@ -205,23 +207,38 @@ func Fig15(ec *ExperimentContext) *Report {
 }
 
 // Fig16 regenerates the period-based breakdown time series for the
-// paper's three phased SPEC workloads on CXL-B. Time sampling is a
-// runner-level knob, so it runs on an isolated runner rather than
-// mutating the shared one.
+// paper's three phased SPEC workloads on CXL-B. The period analysis
+// samples every 2000 simulated ns, a runner-level knob, so it runs on
+// isolated runners rather than mutating the shared one. Under a cycle
+// cadence (-sample-every) the declared cells keep that cadence, so
+// telemetry exports their streams as for any other figure, and the
+// report reads the same cells rerun untraced at 2000 ns: equal seeds
+// give equal counters.
 func Fig16(ec *ExperimentContext) *Report {
 	r := &Report{ID: "fig16", Title: "Period-based slowdown breakdown (CXL-B)"}
 	RegisterWorkloads()
 	emr := platform.EMR2S()
+	periodic := core.EveryNs(2_000) // "1 ms" sampling scaled to sim windows
 	for _, name := range []string{"602.gcc_s", "605.mcf_s", "631.deepsjeng_s"} {
 		spec, ok := workload.ByName(name)
 		if !ok {
 			continue
 		}
 		run := ec.IsolatedRunner(emr)
-		run.SampleIntervalNs = 2_000 // "1 ms" sampling scaled to sim windows
-		ec.Declare(run, Cells([]workload.Spec{spec}, Local(emr), CXL(emr, cxl.ProfileB())))
+		if run.Cadence.Period == 0 {
+			run.Cadence = periodic
+		}
+		cells := Cells([]workload.Spec{spec}, Local(emr), CXL(emr, cxl.ProfileB()))
+		ec.Declare(run, cells)
 		base := ec.Run(run, spec, Local(emr))
 		tgt := ec.Run(run, spec, CXL(emr, cxl.ProfileB()))
+		if run.Cadence != periodic {
+			quiet := ec.IsolatedRunner(emr)
+			quiet.Obs, quiet.Cadence = nil, periodic
+			if res, err := quiet.RunAll(tracespan.WithSpan(ec.ctx, nil), cells); err == nil {
+				base, tgt = res[0], res[1]
+			}
+		}
 		period := run.Instructions / 12
 		periods := spa.AnalyzePeriods(base.Samples, tgt.Samples, period)
 		r.Printf("%s: %d periods of %d instructions", name, len(periods), period)

@@ -5,10 +5,15 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"math"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
+	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/mio"
@@ -107,4 +112,115 @@ func TestSiblingPathPinned(t *testing.T) {
 			t.Errorf("%s: digest %s, want %s", k, got[k], w)
 		}
 	}
+}
+
+// TestSamplingPathPinned pins the exact output of every path that reads
+// a simulated-time sample stream: fig16's period report, a 2000 ns and
+// a 20000-cycle stream of one workload on Local and CXL-A, and the
+// telemetry export (sampled series and cell list) of an engine run of
+// fig16 and fig8f under a cycle cadence. The goldens are amd64 values.
+func TestSamplingPathPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are amd64 float bits; the Go spec lets the compiler fuse x*y+z on %s, which can change them", runtime.GOARCH)
+	}
+	want := map[string]string{
+		"fig16/report":         "5d18f74d6f12e2fb",
+		"ns2000/Local":         "1270:c624f3214cc909d3",
+		"ns2000/CXL-A":         "2269:f7275cf1607decd2",
+		"cyc20000/Local":       "266:aba222ae489a0780",
+		"cyc20000/CXL-A":       "476:fdff21c9de656ee9",
+		"fig16/sampled-report": "5d18f74d6f12e2fb",
+		"fig8f/sampled-report": "5985f2c01b5a8aee",
+		"telemetry/series":     "c98bf2a4f5b4721d",
+		"telemetry/cells":      "14:c118d14ffef81330",
+		"telemetry/registry":   "449fc4e8e275a56a",
+	}
+	got := map[string]string{}
+	sum := func(b []byte) string {
+		h := sha256.Sum256(b)
+		return hex.EncodeToString(h[:])[:16]
+	}
+
+	opts := Options{MaxWorkloads: 2, Instructions: 120_000, Warmup: 30_000, Seed: 1}
+	eng := NewEngine(opts)
+	eng.Workers = 1
+	rep, _ := eng.RunByID(context.Background(), "fig16")
+	got["fig16/report"] = sum([]byte(strings.Join(rep.Lines, "\n")))
+
+	RegisterWorkloads()
+	emr := platform.EMR2S()
+	spec, _ := workload.ByName("605.mcf_s")
+	ns := NewRunner(emr)
+	ns.Instructions, ns.Warmup, ns.Workers = 60_000, 15_000, 1
+	ns.Cadence = core.EveryNs(2_000)
+	cyc := NewRunner(emr)
+	cyc.Instructions, cyc.Warmup, cyc.Workers = 60_000, 15_000, 1
+	cyc.Cadence = core.EveryCycles(20_000)
+	for _, mc := range []MemConfig{Local(emr), CXL(emr, cxl.ProfileA())} {
+		req := RunRequest{Spec: spec, Config: mc}
+		res, err := ns.RunCtx(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var vals []float64
+		for _, s := range res.Samples {
+			vals = append(vals, s.TimeNs)
+			vals = append(vals, s.Counters[:]...)
+		}
+		got["ns2000/"+mc.Name] = fmt.Sprintf("%d:%s", len(res.Samples), floatDigest(vals))
+		res, err = cyc.RunCtx(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		vals = vals[:0]
+		for _, s := range res.Samples {
+			d := s.Device
+			vals = append(vals, s.TimeNs)
+			vals = append(vals, s.Counters[:]...)
+			vals = append(vals, d.TimeNs, float64(d.QueueDepth), float64(d.LinkCreditsInFlight),
+				b2f(d.ThermalActive), d.UtilFrac, d.ReadGBs, d.WriteGBs,
+				d.LinkReqNs, d.SchedWaitNs, d.MediaNs, d.LinkRspNs,
+				float64(d.HiccupStalls), float64(d.ThermalStalls), float64(d.Requests), b2f(s.HasDevice))
+		}
+		got["cyc20000/"+mc.Name] = fmt.Sprintf("%d:%s", len(res.Samples), floatDigest(vals))
+	}
+
+	opts.SampleEveryCycles = 20_000
+	eng = NewEngine(opts)
+	eng.Workers = 1
+	eng.Obs = NewTelemetry()
+	for _, id := range []string{"fig16", "fig8f"} {
+		rep, _ := eng.RunByID(context.Background(), id)
+		got[id+"/sampled-report"] = sum([]byte(strings.Join(rep.Lines, "\n")))
+	}
+	raw, err := json.Marshal(eng.Obs.SampledSeries())
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["telemetry/series"] = sum(raw)
+	var cells []string
+	for _, c := range eng.Obs.Cells() {
+		cells = append(cells, fmt.Sprintf("%s|%s|%s|%d", c.Workload, c.Config, c.Platform, c.Seed))
+	}
+	sort.Strings(cells)
+	got["telemetry/cells"] = fmt.Sprintf("%d:%s", len(cells), sum([]byte(strings.Join(cells, "\n"))))
+	reg := eng.Obs.Registry.Snapshot()
+	delete(reg.Histograms, "runner/cell_wall_ms")
+	if raw, err = json.Marshal(reg); err != nil {
+		t.Fatal(err)
+	}
+	got["telemetry/registry"] = sum(raw)
+
+	for k, g := range got {
+		if want[k] != g {
+			t.Errorf("%s: digest %s, want %s", k, g, want[k])
+		}
+	}
+}
+
+func b2f(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/counters"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/platform"
@@ -24,7 +25,7 @@ func profileCells(t *testing.T, workers int) *Telemetry {
 	r := fastRunner(p)
 	r.Workers = workers
 	r.Obs = tel
-	r.SampleEveryCycles = 20_000
+	r.Cadence = core.EveryCycles(20_000)
 	if _, err := r.RunAll(context.Background(), Cells(specs, Local(p), CXL(p, cxl.ProfileB()))); err != nil {
 		t.Fatal(err)
 	}
@@ -44,16 +45,16 @@ func TestProfileReconcilesWithCounters(t *testing.T) {
 		t.Fatal("micro-chase-256m not in catalog")
 	}
 	r := fastRunner(p)
-	r.SampleEveryCycles = 20_000
+	r.Cadence = core.EveryCycles(20_000)
 	res := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: CXL(p, cxl.ProfileB())}))
-	if len(res.Sampled) == 0 {
+	if len(res.Samples) == 0 {
 		t.Fatal("no sampled stream")
 	}
 
 	b := NewProfileBuilder()
-	AddCellProfile(b, res.Workload, p.CPU.Name, res.Config, res.Sampled)
+	AddCellProfile(b, res.Workload, p.CPU.Name, res.Config, res.Samples)
 
-	last := res.Sampled[len(res.Sampled)-1]
+	last := res.Samples[len(res.Samples)-1]
 	wantCycles := last.Counters[counters.Cycles]
 	if got := b.Total(0); math.Abs(got-wantCycles) > 1e-6*wantCycles {
 		t.Fatalf("profile sim_cycles total %v, want %v (last-sample cycle counter)", got, wantCycles)
@@ -80,12 +81,12 @@ func TestProfileHasDeviceFrames(t *testing.T) {
 		t.Fatal("micro-chase-256m not in catalog")
 	}
 	r := fastRunner(p)
-	r.SampleEveryCycles = 20_000
+	r.Cadence = core.EveryCycles(20_000)
 	res := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: CXL(p, cxl.ProfileB())}))
 
 	prof := BuildProfile([]SampledSeries{{
 		Workload: res.Workload, Config: res.Config, Platform: p.CPU.Name,
-		Samples: res.Sampled,
+		Samples: res.Samples,
 	}})
 	if len(prof.Samples) == 0 {
 		t.Fatal("profile has no samples")

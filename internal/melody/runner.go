@@ -112,11 +112,9 @@ type Result struct {
 	Config   string
 	// Delta covers the measurement window (after warmup).
 	Delta counters.Snapshot
-	// Samples covers the whole run (time-based, for period analysis).
-	Samples []core.Sample
-	// Sampled is the cycle-driven "simulated perf" stream (counter
-	// snapshots plus device CPMU state) when SampleEveryCycles is set.
-	Sampled []sampler.Sample
+	// Samples is the whole run's "simulated perf" stream (counter
+	// snapshots plus device CPMU state) at the runner's Cadence.
+	Samples []sampler.Sample
 	// Regions holds per-object attribution when requested.
 	Regions []core.RegionStat
 }
@@ -138,16 +136,13 @@ type Runner struct {
 	Instructions uint64
 	Warmup       uint64
 
-	// SampleIntervalNs enables time sampling (period analysis).
-	SampleIntervalNs float64
-
-	// SampleEveryCycles enables the cycle-driven sampling layer: every
-	// cell gets its own obs/sampler collecting counter snapshots (and,
-	// on CXL devices, CPMU state probes) every N simulated cycles.
-	// Sampling is observation-only — Delta is byte-identical with it on
-	// or off — but it is part of the cache identity, since Results
-	// carry the sampled stream.
-	SampleEveryCycles uint64
+	// Cadence enables sampling: every cell gets its own obs/sampler
+	// collecting counter snapshots (and, on CXL devices, CPMU state
+	// probes) once per Cadence. Sampling is observation-only — Delta is
+	// byte-identical with it on or off — but it is part of the cache
+	// identity, since Results carry the sampled stream. Telemetry
+	// exports the streams of a cycle cadence only.
+	Cadence core.Cadence
 
 	// PrefetchersOff disables HW prefetching (ablations).
 	PrefetchersOff bool
@@ -185,9 +180,9 @@ func (r *Runner) workers() int {
 }
 
 func (r *Runner) key(spec workload.Spec, mc MemConfig) string {
-	return fmt.Sprintf("%s|%s|%s|%d|%d|%g|%d|%v|%d",
+	return fmt.Sprintf("%s|%s|%s|%d|%d|%g|%v|%v|%d",
 		spec.Name, mc.Name, r.Platform.CPU.Name, r.Instructions, r.Warmup,
-		r.SampleIntervalNs, r.SampleEveryCycles, r.PrefetchersOff, r.Seed)
+		r.Cadence.Period, r.Cadence.Cycles, r.PrefetchersOff, r.Seed)
 }
 
 // splitmix64 is the finalizer the per-cell seed derivation uses (the
@@ -353,12 +348,12 @@ func (r *Runner) runOnce(req RunRequest) Result {
 	stream := deriveSeed(spec.Name, "", r.Seed)
 	dev := r.buildDevice(mc, cell)
 
-	// Cycle-driven sampling attaches its device probe to the raw device
-	// — before any observation wrapper — so CPMU state reads the
-	// expander itself. Configs whose device is not a bare CXL expander
-	// (Local, NUMA, topology wrappers) sample CPU counters only.
+	// Sampling attaches its device probe to the raw device — before any
+	// observation wrapper — so CPMU state reads the expander itself.
+	// Configs whose device is not a bare CXL expander (Local, NUMA,
+	// topology wrappers) sample CPU counters only.
 	var smp *sampler.Sampler
-	if r.SampleEveryCycles > 0 {
+	if r.Cadence.Period > 0 {
 		prober, _ := dev.(cxl.StateProber)
 		smp = sampler.New(prober)
 	}
@@ -384,15 +379,13 @@ func (r *Runner) runOnce(req RunRequest) Result {
 	}
 	w := spec.Build(stream)
 	cfg := core.Config{
-		CPU:              r.Platform.CPU,
-		Device:           machineDev,
-		PrefetchersOff:   r.PrefetchersOff,
-		MaxInstructions:  r.Warmup,
-		SampleIntervalNs: r.SampleIntervalNs,
+		CPU:             r.Platform.CPU,
+		Device:          machineDev,
+		PrefetchersOff:  r.PrefetchersOff,
+		MaxInstructions: r.Warmup,
 	}
 	if smp != nil {
-		cfg.Sampler = smp
-		cfg.SampleEveryCycles = r.SampleEveryCycles
+		cfg.Sampler, cfg.Cadence = smp, r.Cadence
 	}
 	m := machines.get(cfg.CPU)
 	defer machines.put(cfg.CPU, m, r.workers())
@@ -411,9 +404,9 @@ func (r *Runner) runOnce(req RunRequest) Result {
 	w.Run(m)
 	after := m.Counters()
 
-	var sampled []sampler.Sample
+	var samples []sampler.Sample
 	if smp != nil {
-		sampled = smp.Samples()
+		samples = smp.Samples()
 	}
 
 	if r.Obs != nil {
@@ -425,15 +418,16 @@ func (r *Runner) runOnce(req RunRequest) Result {
 			WallMs:   float64(time.Since(wallStart)) / float64(time.Millisecond),
 		}
 		r.Obs.cellDone(ct, devObs)
-		r.Obs.cellSampled(ct, sampled, wallStart)
+		if r.Cadence.Cycles {
+			r.Obs.cellSampled(ct, samples, wallStart)
+		}
 	}
 
 	return Result{
 		Workload: spec.Name,
 		Config:   mc.Name,
 		Delta:    after.Delta(before),
-		Samples:  m.Samples(),
-		Sampled:  sampled,
+		Samples:  samples,
 		Regions:  m.RegionStats(),
 	}
 }
@@ -468,7 +462,7 @@ func (p *machinePool) get(cpu platform.CPU) *core.Machine {
 
 // put returns m, which ran a cell on cpu, to the pool, keeping at most
 // limit idle machines for cpu. m is first reset without a device, so an idle
-// machine holds no cell's device, sampler, samples or regions.
+// machine holds no cell's device, sampler or regions.
 func (p *machinePool) put(cpu platform.CPU, m *core.Machine, limit int) {
 	m.Reset(core.Config{CPU: cpu})
 	p.mu.Lock()

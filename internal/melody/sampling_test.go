@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/obs/sampler"
@@ -40,7 +41,7 @@ func TestSamplingDoesNotPerturbResults(t *testing.T) {
 
 	run := func(every uint64) []Result {
 		r := fastRunner(p)
-		r.SampleEveryCycles = every
+		r.Cadence = core.EveryCycles(every)
 		results, err := r.RunAll(context.Background(), Cells(specs, configs...))
 		if err != nil {
 			t.Fatal(err)
@@ -53,10 +54,10 @@ func TestSamplingDoesNotPerturbResults(t *testing.T) {
 			t.Fatalf("cell %s @ %s: Delta differs with sampling on",
 				plain[i].Workload, plain[i].Config)
 		}
-		if len(plain[i].Sampled) != 0 {
+		if len(plain[i].Samples) != 0 {
 			t.Fatal("unsampled run carries a sampled stream")
 		}
-		if len(sampled[i].Sampled) == 0 {
+		if len(sampled[i].Samples) == 0 {
 			t.Fatalf("cell %s @ %s: sampling on but stream empty",
 				sampled[i].Workload, sampled[i].Config)
 		}
@@ -64,7 +65,7 @@ func TestSamplingDoesNotPerturbResults(t *testing.T) {
 	// CXL cells carry device state; Local cells are CPU-only.
 	for _, res := range sampled {
 		wantDev := res.Config != "Local"
-		for _, s := range res.Sampled {
+		for _, s := range res.Samples {
 			if s.HasDevice != wantDev {
 				t.Fatalf("cell %s @ %s: HasDevice = %v", res.Workload, res.Config, s.HasDevice)
 			}
@@ -83,7 +84,7 @@ func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) []Result {
 		r := fastRunner(p)
 		r.Workers = workers
-		r.SampleEveryCycles = 50_000
+		r.Cadence = core.EveryCycles(50_000)
 		results, err := r.RunAll(context.Background(), cells)
 		if err != nil {
 			t.Fatal(err)
@@ -92,7 +93,7 @@ func TestSamplingDeterministicAcrossWorkers(t *testing.T) {
 	}
 	serial, parallel := run(1), run(4)
 	for i := range serial {
-		a, b := serial[i].Sampled, parallel[i].Sampled
+		a, b := serial[i].Samples, parallel[i].Samples
 		if len(a) != len(b) {
 			t.Fatalf("cell %d: %d vs %d samples across -j widths", i, len(a), len(b))
 		}
@@ -114,7 +115,7 @@ func TestTelemetryCollectsSampledSeries(t *testing.T) {
 	r := fastRunner(p)
 	r.Workers = 4
 	r.Obs = tel
-	r.SampleEveryCycles = 50_000
+	r.Cadence = core.EveryCycles(50_000)
 	if _, err := r.RunAll(context.Background(), Cells(specs, Local(p), CXL(p, cxl.ProfileA()))); err != nil {
 		t.Fatal(err)
 	}
@@ -182,13 +183,11 @@ func TestSampledStreamFeedsPeriodSpa(t *testing.T) {
 		t.Skip("micro-chase-256m not in catalog")
 	}
 	r := fastRunner(p)
-	r.SampleEveryCycles = 20_000
+	r.Cadence = core.EveryCycles(20_000)
 	base := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: Local(p)}))
 	tgt := must(r.RunCtx(context.Background(), RunRequest{Spec: spec, Config: CXL(p, cxl.ProfileB())}))
 
-	periods := spa.AnalyzePeriods(
-		sampler.CoreSamplesOf(base.Sampled),
-		sampler.CoreSamplesOf(tgt.Sampled), 100_000)
+	periods := spa.AnalyzePeriods(base.Samples, tgt.Samples, 100_000)
 	if len(periods) == 0 {
 		t.Fatal("no periods from sampled streams")
 	}
@@ -196,7 +195,7 @@ func TestSampledStreamFeedsPeriodSpa(t *testing.T) {
 	if len(rep.Phases) == 0 {
 		t.Fatal("report has no phases")
 	}
-	rep.AttributeDevice(tgt.Sampled)
+	rep.AttributeDevice(tgt.Samples)
 	var attributed bool
 	for _, ph := range rep.Phases {
 		if ph.Device.Valid {

@@ -1,18 +1,19 @@
 // Package sampler implements the time-resolved "simulated perf" layer:
-// a deterministic, cycle-driven sampling subsystem that periodically
+// the one deterministic sampling stream of a run, which periodically
 // snapshots the CPU's full counter state and (when attached) a CXL
 // expander's instantaneous CPMU state.
 //
 // Real perf samples a PMU on a wall-clock or event cadence; here the
-// cadence is simulated cycles (core.Config.SampleEveryCycles), derived
+// cadence is simulated ns or cycles (core.Config.Cadence), derived
 // purely from the sim clock, so a sampled stream is bit-identical
 // across runs, -j widths, and host machines. Sampling is strictly
 // observation-only: attaching a Sampler never changes simulated
 // timing, and the detached path in the machine loop is one branch.
 //
-// The collected series feeds three sinks (sinks.go): Perfetto counter
-// tracks on an obs.Trace, a CSV time-series export, and — converted
-// via CoreSamples — the period-resolved Spa analysis in package spa.
+// The collected series feeds the period-resolved Spa analysis in
+// package spa and three sinks (sinks.go): Perfetto counter tracks on
+// an obs.Trace, a CSV time-series export, and the simulated-time
+// profiles.
 package sampler
 
 import (
@@ -32,7 +33,7 @@ type Sample struct {
 }
 
 // Sampler collects Samples at the cadence configured on the machine
-// (core.Config.Sampler + SampleEveryCycles). It implements
+// (core.Config.Sampler + Cadence). It implements
 // core.Sampler. Not safe for concurrent use: each simulated cell owns
 // its own Sampler, mirroring per-core perf buffers.
 type Sampler struct {
@@ -64,23 +65,6 @@ func (s *Sampler) Sample(timeNs float64, c counters.Snapshot) {
 	s.samples = append(s.samples, smp)
 }
 
-// Len returns the number of collected samples.
-func (s *Sampler) Len() int { return len(s.samples) }
-
 // Samples returns the collected series in sampling order. The slice is
 // owned by the Sampler; callers must not mutate it.
 func (s *Sampler) Samples() []Sample { return s.samples }
-
-// CoreSamples converts the series to the core.Sample shape consumed by
-// spa.AnalyzePeriods, dropping the device dimension.
-func (s *Sampler) CoreSamples() []core.Sample { return CoreSamplesOf(s.samples) }
-
-// CoreSamplesOf converts any sampled stream (e.g. one carried in a
-// melody.Result) to core.Sample form for period analysis.
-func CoreSamplesOf(samples []Sample) []core.Sample {
-	out := make([]core.Sample, len(samples))
-	for i, smp := range samples {
-		out[i] = core.Sample{TimeNs: smp.TimeNs, Counters: smp.Counters}
-	}
-	return out
-}

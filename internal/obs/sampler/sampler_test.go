@@ -21,7 +21,7 @@ func drive(s *Sampler, dev *cxl.Device, every uint64) counters.Snapshot {
 	cfg := core.Config{CPU: platform.SKX2S().CPU, Device: dev}
 	if s != nil {
 		cfg.Sampler = s
-		cfg.SampleEveryCycles = every
+		cfg.Cadence = core.EveryCycles(every)
 	}
 	m := core.New(cfg)
 	r := sim.NewRand(5)
@@ -39,9 +39,6 @@ func TestSamplerCollectsCPUAndDeviceState(t *testing.T) {
 	samples := s.Samples()
 	if len(samples) < 5 {
 		t.Fatalf("only %d samples collected", len(samples))
-	}
-	if s.Len() != len(samples) {
-		t.Fatal("Len disagrees with Samples")
 	}
 	for i, smp := range samples {
 		if !smp.HasDevice {
@@ -79,21 +76,6 @@ func TestSamplerObservationOnly(t *testing.T) {
 	sampled := drive(New(dev), dev, 2000)
 	if plain != sampled {
 		t.Fatalf("sampling perturbed results:\nwithout: %v\nwith:    %v", plain, sampled)
-	}
-}
-
-func TestCoreSamplesShape(t *testing.T) {
-	dev := cxl.New(cxl.ProfileA(), 3)
-	s := New(dev)
-	drive(s, dev, 4000)
-	cs := s.CoreSamples()
-	if len(cs) != s.Len() {
-		t.Fatalf("CoreSamples len %d, want %d", len(cs), s.Len())
-	}
-	for i := range cs {
-		if cs[i].TimeNs != s.Samples()[i].TimeNs || cs[i].Counters != s.Samples()[i].Counters {
-			t.Fatalf("CoreSamples[%d] diverges from source", i)
-		}
 	}
 }
 
@@ -196,8 +178,8 @@ func TestWriteCSV(t *testing.T) {
 	if err != nil {
 		t.Fatalf("emitted CSV does not parse: %v", err)
 	}
-	if len(rows) != s.Len()+1 {
-		t.Fatalf("%d CSV rows for %d samples", len(rows), s.Len())
+	if len(rows) != len(s.Samples())+1 {
+		t.Fatalf("%d CSV rows for %d samples", len(rows), len(s.Samples()))
 	}
 	wantCols := 1 + int(counters.NumCounters) + len(csvCPMUColumns)
 	for i, r := range rows {

@@ -1,8 +1,10 @@
 package spa
 
 import (
-	"github.com/moatlab/melody/internal/core"
+	"sort"
+
 	"github.com/moatlab/melody/internal/counters"
+	"github.com/moatlab/melody/internal/obs/sampler"
 )
 
 // Period-based Spa (paper §5.6). The same instructions take different
@@ -20,24 +22,22 @@ type PeriodBreakdown struct {
 	Breakdown
 }
 
+// bracket returns the index of the first sample at or past the given
+// instruction count (len(samples) when every sample is before it).
+// Samples must be in time order with monotone instruction counts.
+func bracket(samples []sampler.Sample, instr float64) int {
+	return sort.Search(len(samples), func(i int) bool {
+		return samples[i].Counters[counters.Instructions] >= instr
+	})
+}
+
 // interpolate returns the counter snapshot at the given instruction
-// index, linearly interpolated between time samples. Samples must be in
-// time order with monotone instruction counts.
-func interpolate(samples []core.Sample, instr float64) counters.Snapshot {
+// index, linearly interpolated between the bracketing samples.
+func interpolate(samples []sampler.Sample, instr float64) counters.Snapshot {
 	if len(samples) == 0 {
 		return counters.Snapshot{}
 	}
-	// Find the first sample at or past the target instruction count.
-	lo := 0
-	hi := len(samples)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if samples[mid].Counters[counters.Instructions] < instr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	lo := bracket(samples, instr)
 	if lo == 0 {
 		// Before the first sample: scale it proportionally from zero.
 		first := samples[0]
@@ -62,10 +62,9 @@ func interpolate(samples []core.Sample, instr float64) counters.Snapshot {
 
 // AnalyzePeriods aligns a baseline and a target sample series onto
 // periodInstr-sized instruction periods and returns per-period
-// breakdowns. The series should come from core.Machine sampling
-// (SampleIntervalNs), mirroring the paper's 1 ms sampling converted to
-// 1 B-instruction periods.
-func AnalyzePeriods(base, target []core.Sample, periodInstr uint64) []PeriodBreakdown {
+// breakdowns. The series come from obs/sampler at any cadence; the
+// paper samples every 1 ms and analyzes 1 B-instruction periods.
+func AnalyzePeriods(base, target []sampler.Sample, periodInstr uint64) []PeriodBreakdown {
 	if periodInstr == 0 || len(base) == 0 || len(target) == 0 {
 		return nil
 	}

@@ -4,17 +4,18 @@ import (
 	"testing"
 
 	"github.com/moatlab/melody/internal/core"
+	"github.com/moatlab/melody/internal/obs/sampler"
 	"github.com/moatlab/melody/internal/platform"
 	"github.com/moatlab/melody/internal/workload"
 )
 
-func runAtLatency(t *testing.T, lat float64) (cycles float64, snap core.Sample) {
+func runAtLatency(t *testing.T, lat float64) (cycles float64, snap sampler.Sample) {
 	t.Helper()
 	p := workload.Profile{WorkingSetMB: 256, MemRatio: 0.35, DepFrac: 0.6}
 	w := workload.NewSynthetic("pred", p, 1)
 	m := core.New(core.Config{CPU: platform.SKX2S().CPU, Device: &fixedDev{lat: lat}, MaxInstructions: 150_000})
 	w.Run(m)
-	return m.Counters()[0], core.Sample{Counters: m.Counters()}
+	return m.Counters()[0], sampler.Sample{Counters: m.Counters()}
 }
 
 func TestPredictInterpolates(t *testing.T) {

@@ -170,63 +170,50 @@ func NewReport(periods []PeriodBreakdown, periodInstr uint64) Report {
 	return r
 }
 
-// devAccum holds interpolated cumulative CPMU accumulators.
-type devAccum struct {
-	linkReq, schedWait, media, linkRsp float64
-	hiccups, thermals                  float64
+// devAccum holds cumulative CPMU accumulators: link request, scheduler
+// wait, media and link response ns, then hiccup and thermal stalls.
+type devAccum [6]float64
+
+func accumOf(s sampler.Sample) devAccum {
+	d := s.Device
+	return devAccum{d.LinkReqNs, d.SchedWaitNs, d.MediaNs, d.LinkRspNs,
+		float64(d.HiccupStalls), float64(d.ThermalStalls)}
 }
 
 // deviceAt linearly interpolates the target stream's cumulative device
 // accumulators at an instruction index, mirroring interpolate() for
 // counter snapshots. Samples without device state contribute nothing.
-func deviceAt(samples []sampler.Sample, instr float64) (devAccum, bool) {
-	accum := func(s sampler.Sample) devAccum {
-		return devAccum{
-			linkReq: s.Device.LinkReqNs, schedWait: s.Device.SchedWaitNs,
-			media: s.Device.MediaNs, linkRsp: s.Device.LinkRspNs,
-			hiccups:  float64(s.Device.HiccupStalls),
-			thermals: float64(s.Device.ThermalStalls),
-		}
+func deviceAt(samples []sampler.Sample, instr float64) (out devAccum, ok bool) {
+	if len(samples) == 0 || !samples[0].HasDevice {
+		return out, false
 	}
-	lo, hi := 0, len(samples)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if samples[mid].Counters[counters.Instructions] < instr {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
+	lo := bracket(samples, instr)
 	switch {
-	case len(samples) == 0 || !samples[0].HasDevice:
-		return devAccum{}, false
 	case lo == 0:
-		first := samples[0]
-		fi := first.Counters[counters.Instructions]
+		fi := samples[0].Counters[counters.Instructions]
 		if fi <= 0 {
-			return devAccum{}, true
+			return out, true
 		}
-		a := accum(first)
-		frac := instr / fi
-		return devAccum{a.linkReq * frac, a.schedWait * frac, a.media * frac,
-			a.linkRsp * frac, a.hiccups * frac, a.thermals * frac}, true
+		a, frac := accumOf(samples[0]), instr/fi
+		for k := range out {
+			out[k] = a[k] * frac
+		}
+		return out, true
 	case lo == len(samples):
-		return accum(samples[len(samples)-1]), true
+		return accumOf(samples[lo-1]), true
 	}
 	a, b := samples[lo-1], samples[lo]
 	ai := a.Counters[counters.Instructions]
 	bi := b.Counters[counters.Instructions]
 	if bi <= ai {
-		return accum(a), true
+		return accumOf(a), true
 	}
 	frac := (instr - ai) / (bi - ai)
-	av, bv := accum(a), accum(b)
-	lerp := func(x, y float64) float64 { return x + (y-x)*frac }
-	return devAccum{
-		lerp(av.linkReq, bv.linkReq), lerp(av.schedWait, bv.schedWait),
-		lerp(av.media, bv.media), lerp(av.linkRsp, bv.linkRsp),
-		lerp(av.hiccups, bv.hiccups), lerp(av.thermals, bv.thermals),
-	}, true
+	av, bv := accumOf(a), accumOf(b)
+	for k := range out {
+		out[k] = av[k] + (bv[k]-av[k])*frac
+	}
+	return out, true
 }
 
 // AttributeDevice fills each phase's DeviceShare from the target (CXL)
@@ -242,19 +229,20 @@ func (r *Report) AttributeDevice(target []sampler.Sample) {
 		if !okA || !okB {
 			continue
 		}
-		dLinkReq := b.linkReq - a.linkReq
-		dSched := b.schedWait - a.schedWait
-		dMedia := b.media - a.media
-		dRsp := b.linkRsp - a.linkRsp
-		total := dLinkReq + dSched + dMedia + dRsp
+		var d [4]float64
+		total := 0.0
+		for k := range d {
+			d[k] = b[k] - a[k]
+			total += d[k]
+		}
 		if total <= 0 {
 			continue
 		}
 		ph.Device = DeviceShare{
-			LinkReq: dLinkReq / total, SchedWait: dSched / total,
-			Media: dMedia / total, LinkRsp: dRsp / total,
-			Hiccups:  uint64(b.hiccups - a.hiccups + 0.5),
-			Thermals: uint64(b.thermals - a.thermals + 0.5),
+			LinkReq: d[0] / total, SchedWait: d[1] / total,
+			Media: d[2] / total, LinkRsp: d[3] / total,
+			Hiccups:  uint64(b[4] - a[4] + 0.5),
+			Thermals: uint64(b[5] - a[5] + 0.5),
 			Valid:    true,
 		}
 	}

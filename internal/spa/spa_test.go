@@ -7,6 +7,7 @@ import (
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/counters"
 	"github.com/moatlab/melody/internal/mem"
+	"github.com/moatlab/melody/internal/obs/sampler"
 	"github.com/moatlab/melody/internal/platform"
 	"github.com/moatlab/melody/internal/vm"
 	"github.com/moatlab/melody/internal/workload"
@@ -26,14 +27,15 @@ func (d *fixedDev) Stats() mem.DeviceStats { return mem.DeviceStats{} }
 
 // runWorkload executes a profile on a device and returns counters plus
 // samples.
-func runWorkload(p workload.Profile, lat float64, instr uint64, sample float64) ([]core.Sample, counters.Snapshot) {
+func runWorkload(p workload.Profile, lat float64, instr uint64, sample float64) ([]sampler.Sample, counters.Snapshot) {
 	w := workload.NewSynthetic("t", p, 1)
+	smp := sampler.New(nil)
 	m := core.New(core.Config{
 		CPU: platform.SKX2S().CPU, Device: &fixedDev{lat: lat},
-		MaxInstructions: instr, SampleIntervalNs: sample,
+		MaxInstructions: instr, Sampler: smp, Cadence: core.EveryNs(sample),
 	})
 	w.Run(m)
-	return m.Samples(), m.Counters()
+	return smp.Samples(), m.Counters()
 }
 
 func TestAnalyzeEstimatorsAgree(t *testing.T) {

@@ -7,6 +7,7 @@ import (
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/counters"
 	"github.com/moatlab/melody/internal/mem"
+	"github.com/moatlab/melody/internal/obs/sampler"
 	"github.com/moatlab/melody/internal/platform"
 )
 
@@ -84,11 +85,12 @@ func TestSyntheticLatencySensitivity(t *testing.T) {
 func TestSyntheticPhases(t *testing.T) {
 	p := Profile{WorkingSetMB: 128, MemRatio: 0.3, PhaseInstr: 10_000, PhaseMemMult: []float64{2, 0.1}}
 	w := NewSynthetic("phased", p, 1)
+	smp := sampler.New(nil)
 	m := core.New(core.Config{CPU: platform.SKX2S().CPU, Device: &fixedDev{lat: 200},
-		MaxInstructions: 100_000, SampleIntervalNs: 2_000})
+		MaxInstructions: 100_000, Sampler: smp, Cadence: core.EveryNs(2_000)})
 	w.Run(m)
-	if len(m.Samples()) < 5 {
-		t.Fatalf("phased run produced %d samples", len(m.Samples()))
+	if len(smp.Samples()) < 5 {
+		t.Fatalf("phased run produced %d samples", len(smp.Samples()))
 	}
 }
 
