@@ -1,11 +1,6 @@
 package cxl
 
-import (
-	"fmt"
-	"math"
-
-	"github.com/moatlab/melody/internal/obs"
-)
+import "fmt"
 
 // CPMU models the CXL Performance Monitoring Unit introduced in CXL 3.0
 // — the white-box visibility the paper asks for when reasoning about
@@ -16,71 +11,43 @@ import (
 // CPMU exposes exactly the breakdown a future real device could:
 // link transmission, transaction-layer/scheduler wait (including hiccup
 // and thermal stalls), media (DRAM) service, and response return.
+//
+// The CPMU is the device's one counter set: always on, updated once per
+// access, and cleared by Reset. Device.Stats derives mem.DeviceStats
+// from it and ProbeState copies it. It keeps sums, not a distribution:
+// a latency distribution comes from an observer (Device.SetObserver),
+// which sees the same component times for every access.
 type CPMU struct {
-	enabled bool
-
 	// Per-component accumulated nanoseconds across requests.
 	LinkReqNs   float64 // request flit transmission + propagation
 	SchedWaitNs float64 // transaction layer, hiccup, and thermal waits
 	MediaNs     float64 // DRAM bank/bus service
 	LinkRspNs   float64 // response flit transmission + propagation
 	Requests    uint64
+	Writes      uint64 // the share of Requests that are writebacks
 
 	// HiccupStalls/ThermalStalls count requests delayed by each
 	// governor.
 	HiccupStalls  uint64
 	ThermalStalls uint64
-
-	// hist collects end-to-end request latencies for percentile
-	// queries. The log-bucketed histogram has bounded memory at any
-	// request count, so — unlike the raw sample slice it replaced,
-	// which stopped at 262144 samples and skewed percentiles toward
-	// warmup-phase requests — it never truncates.
-	hist *obs.Histogram
-}
-
-// Enable turns the monitoring unit on (off by default: a real CPMU is
-// programmed explicitly, and sampling costs memory).
-func (c *CPMU) Enable() {
-	c.enabled = true
-	if c.hist == nil {
-		c.hist = obs.NewHistogram()
-	}
-}
-
-// Enabled reports the monitoring state.
-func (c *CPMU) Enabled() bool { return c.enabled }
-
-// LatencyHistogram exposes the full end-to-end latency distribution
-// (nil until Enable).
-func (c *CPMU) LatencyHistogram() *obs.Histogram { return c.hist }
-
-// reset clears all counters.
-func (c *CPMU) reset() {
-	on := c.enabled
-	*c = CPMU{enabled: on}
-	if on {
-		c.hist = obs.NewHistogram()
-	}
 }
 
 // record attributes one request's component times.
-func (c *CPMU) record(linkReq, schedWait, media, linkRsp float64, hiccup, thermal bool) {
-	if !c.enabled {
-		return
-	}
+func (c *CPMU) record(linkReq, schedWait, media, linkRsp float64, write, hiccup, thermal bool) {
 	c.LinkReqNs += linkReq
 	c.SchedWaitNs += schedWait
 	c.MediaNs += media
 	c.LinkRspNs += linkRsp
 	c.Requests++
+	if write {
+		c.Writes++
+	}
 	if hiccup {
 		c.HiccupStalls++
 	}
 	if thermal {
 		c.ThermalStalls++
 	}
-	c.hist.Record(linkReq + schedWait + media + linkRsp)
 }
 
 // Breakdown returns the average per-request nanoseconds spent in each
@@ -93,21 +60,9 @@ func (c *CPMU) Breakdown() (linkReq, schedWait, media, linkRsp float64) {
 	return c.LinkReqNs / n, c.SchedWaitNs / n, c.MediaNs / n, c.LinkRspNs / n
 }
 
-// Percentile returns the p-th percentile of device-internal request
-// latency (excluding CPU-side overheads), NaN before any request is
-// recorded. Percentiles come from the log-bucketed histogram, so they
-// carry its ~2% bucket-width resolution but reflect the complete run.
-func (c *CPMU) Percentile(p float64) float64 {
-	if c.hist == nil || c.hist.Count() == 0 {
-		return math.NaN()
-	}
-	return c.hist.Percentile(p)
-}
-
 // String renders the white-box summary.
 func (c *CPMU) String() string {
 	lr, sw, md, lp := c.Breakdown()
-	return fmt.Sprintf("CPMU{n=%d linkReq=%.1f sched=%.1f media=%.1f linkRsp=%.1f ns; hiccup=%d thermal=%d; p50=%.0f p99.9=%.0f}",
-		c.Requests, lr, sw, md, lp, c.HiccupStalls, c.ThermalStalls,
-		c.Percentile(50), c.Percentile(99.9))
+	return fmt.Sprintf("CPMU{n=%d linkReq=%.1f sched=%.1f media=%.1f linkRsp=%.1f ns; hiccup=%d thermal=%d}",
+		c.Requests, lr, sw, md, lp, c.HiccupStalls, c.ThermalStalls)
 }

@@ -5,21 +5,36 @@ import (
 	"testing"
 
 	"github.com/moatlab/melody/internal/mem"
+	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/sim"
 )
 
+// latencyHist records each observed access's device-internal latency,
+// the sum of its CPMU components, the way melody's cpmu report does.
+type latencyHist struct{ *obs.Histogram }
+
+func (h latencyHist) ObserveAccess(a mem.AccessObservation) {
+	h.Record(a.LinkReqNs + a.SchedWaitNs + a.MediaNs + a.LinkRspNs)
+}
+
+// TestCPMUDisabledByDefault checks what replaced the enable bit: the
+// CPMU is always on, so a new device reads zero and counts from its
+// first access with nothing switched on.
 func TestCPMUDisabledByDefault(t *testing.T) {
 	d := New(ProfileB(), 1)
-	d.Access(0, 0, mem.DemandRead)
 	if d.PMU().Requests != 0 {
-		t.Fatal("CPMU recorded while disabled")
+		t.Fatal("new device's CPMU is not zero")
+	}
+	d.Access(0, 0, mem.DemandRead)
+	d.Access(10, 64, mem.Write)
+	if p := d.PMU(); p.Requests != 2 || p.Writes != 1 {
+		t.Fatalf("CPMU counted %d requests, %d writes; want 2, 1", p.Requests, p.Writes)
 	}
 }
 
 func TestCPMUBreakdownSumsToLatency(t *testing.T) {
 	p := quietProfile()
 	d := New(p, 1)
-	d.PMU().Enable()
 	now := 0.0
 	r := sim.NewRand(3)
 	var totalLat float64
@@ -48,7 +63,8 @@ func TestCPMUAttributesHiccups(t *testing.T) {
 	p.Link.RetryProb = 0
 	p.MC.ThermalThreshold = 0
 	d := New(p, 3)
-	d.PMU().Enable()
+	lat := latencyHist{obs.NewHistogram()}
+	d.SetObserver(lat)
 	now := 0.0
 	r := sim.NewRand(9)
 	for i := 0; i < 50_000; i++ {
@@ -61,38 +77,40 @@ func TestCPMUAttributesHiccups(t *testing.T) {
 	}
 	// The white-box view: tail latency comes from scheduler wait, not
 	// media (the paper's hypothesized root cause).
-	if gap := pmu.Percentile(99.9) - pmu.Percentile(50); gap < 100 {
+	if gap := lat.Percentile(99.9) - lat.Percentile(50); gap < 100 {
 		t.Fatalf("CPMU tail gap %.0f too small for CXL-B", gap)
 	}
 }
 
 func TestCPMUPercentilesOrdered(t *testing.T) {
 	d := New(ProfileC(), 1)
-	d.PMU().Enable()
+	lat := latencyHist{obs.NewHistogram()}
+	d.SetObserver(lat)
 	now := 0.0
 	r := sim.NewRand(5)
 	for i := 0; i < 10_000; i++ {
 		done := d.Access(now, r.Uint64n(1<<30), mem.DemandRead)
 		now = done
 	}
-	pmu := d.PMU()
-	if !(pmu.Percentile(50) <= pmu.Percentile(99) && pmu.Percentile(99) <= pmu.Percentile(99.9)) {
+	if !(lat.Percentile(50) <= lat.Percentile(99) && lat.Percentile(99) <= lat.Percentile(99.9)) {
 		t.Fatal("CPMU percentiles not ordered")
 	}
-	if pmu.String() == "" {
+	if d.PMU().String() == "" {
 		t.Fatal("empty CPMU string")
 	}
 }
 
+// TestCPMUSurvivesResetPolicy checks that Reset clears the counters and
+// that counting resumes at the next access with nothing re-armed.
 func TestCPMUSurvivesResetPolicy(t *testing.T) {
 	d := New(quietProfile(), 1)
-	d.PMU().Enable()
 	d.Access(0, 0, mem.DemandRead)
 	d.Reset()
-	if d.PMU().Requests != 0 {
-		t.Fatal("Reset did not clear CPMU counters")
+	if *d.PMU() != (CPMU{}) {
+		t.Fatalf("Reset did not clear CPMU counters: %+v", *d.PMU())
 	}
-	if !d.PMU().Enabled() {
-		t.Fatal("Reset disabled the CPMU (enable state should persist)")
+	d.Access(0, 0, mem.DemandRead)
+	if d.PMU().Requests != 1 {
+		t.Fatal("CPMU stopped counting after Reset")
 	}
 }

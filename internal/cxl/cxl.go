@@ -83,9 +83,9 @@ type Device struct {
 	util        float64
 	throttleAt  float64
 
-	stats mem.DeviceStats
-	pmu   CPMU
-	obs   mem.Observer
+	pmu      CPMU
+	lastDone float64
+	obs      mem.Observer
 
 	// State-probe tracking (EnableStateProbe): in-flight completion
 	// times plus read/write byte accumulators since the last probe.
@@ -131,14 +131,13 @@ func (d *Device) Reset() {
 	d.majorAnchor = d.rng.Float64() * d.prof.MC.MajorHiccupPeriodNs
 	d.windowStart, d.windowBytes, d.util = 0, 0, 0
 	d.throttleAt = 0
-	d.stats = mem.DeviceStats{}
-	d.pmu.reset()
+	d.pmu = CPMU{}
+	d.lastDone = 0
 	d.inflight = sim.TimeHeap{}
 	d.probeWinStartNs, d.probeReadBytes, d.probeWriteBytes = 0, 0, 0
 }
 
 // PMU exposes the device's CXL 3.0-style performance monitoring unit.
-// Call Enable on it before the measurement of interest.
 func (d *Device) PMU() *CPMU { return &d.pmu }
 
 // SetObserver implements mem.Observable: o receives every completed
@@ -146,7 +145,7 @@ func (d *Device) PMU() *CPMU { return &d.pmu }
 // accumulates). Observation happens after the access's timing is
 // committed and never changes simulated behaviour; the nil (detached)
 // path costs a nil check and zero allocations. The observer survives
-// Reset, mirroring the CPMU enable bit.
+// Reset.
 func (d *Device) SetObserver(o mem.Observer) { d.obs = o }
 
 // updateUtil folds one request's bytes into the utilization EWMA.
@@ -223,7 +222,6 @@ func (d *Device) Access(now float64, addr uint64, kind mem.Kind) float64 {
 			d.throttleAt = t + mc.ThermalPeriodNs
 			d.schedBlockedUntil = t + mc.ThermalStallNs
 			t = d.schedBlockedUntil
-			d.stats.Throttled++
 			throttled = true
 		}
 	}
@@ -238,14 +236,12 @@ func (d *Device) Access(now float64, addr uint64, kind mem.Kind) float64 {
 		// the completion flit still loads the response direction.
 		d.lnk.Send(start, link.Rsp, ackBytes)
 		completion = start
-		d.stats.Writes++
 		mediaNs, linkRspNs = start-t, 0
 	} else {
 		completion = d.lnk.Send(done+mc.PipelineNs/2, link.Rsp, dataBytes)
-		d.stats.Reads++
 		mediaNs, linkRspNs = done-t, completion-done
 	}
-	d.pmu.record(tArrive-now, t-tArrive, mediaNs, linkRspNs, hiccuped, throttled)
+	d.pmu.record(tArrive-now, t-tArrive, mediaNs, linkRspNs, isWrite, hiccuped, throttled)
 	if d.probe {
 		for d.inflight.Len() > 0 && d.inflight.Min() <= now {
 			d.inflight.PopMin()
@@ -270,17 +266,24 @@ func (d *Device) Access(now float64, addr uint64, kind mem.Kind) float64 {
 	if !isWrite {
 		d.updateUtil(now, dataBytes)
 	}
-
-	d.stats.Retries = d.lnk.Retries()
-	d.stats.RowHits = d.mod.RowHits()
-	d.stats.RowMisses = d.mod.RowMisses()
-	d.stats.BusyNs = d.mod.BusyNs()
-	d.stats.LastDone = completion
+	d.lastDone = completion
 	return completion
 }
 
-// Stats implements mem.Device.
-func (d *Device) Stats() mem.DeviceStats { return d.stats }
+// Stats implements mem.Device. It reads the CPMU and the link and DRAM
+// counters at the time of the call.
+func (d *Device) Stats() mem.DeviceStats {
+	return mem.DeviceStats{
+		Reads:     d.pmu.Requests - d.pmu.Writes,
+		Writes:    d.pmu.Writes,
+		RowHits:   d.mod.RowHits(),
+		RowMisses: d.mod.RowMisses(),
+		Retries:   d.lnk.Retries(),
+		Throttled: d.pmu.ThermalStalls,
+		BusyNs:    d.mod.BusyNs(),
+		LastDone:  d.lastDone,
+	}
+}
 
 // PeakBandwidth returns the nominal peak bandwidth (GB/s).
 func (d *Device) PeakBandwidth() float64 {

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/moatlab/melody/internal/mem"
+	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/sim"
 )
 
@@ -16,8 +17,9 @@ type obsRecorder struct {
 func (r *obsRecorder) ObserveAccess(a mem.AccessObservation) { r.got = append(r.got, a) }
 
 func TestDeviceAccessDisabledPathZeroAlloc(t *testing.T) {
-	// The telemetry contract: with the CPMU off and no observer attached
-	// (the default state), the device hot path must not allocate.
+	// The telemetry contract: with no observer attached and the state
+	// probe off (the default state), the device hot path must not
+	// allocate.
 	d := New(ProfileB(), 1)
 	r := sim.NewRand(2)
 	now := 0.0
@@ -31,13 +33,14 @@ func TestDeviceAccessDisabledPathZeroAlloc(t *testing.T) {
 }
 
 func TestCPMUHistogramNeverTruncates(t *testing.T) {
-	// Regression test for the sample-cap bias: the raw []float64 the CPMU
-	// used to keep stopped at 262144 samples, so long runs computed
-	// percentiles over the warmup prefix only. The log-bucketed histogram
-	// must cover every request.
+	// Regression test for the sample-cap bias: a raw []float64 of
+	// latencies once stopped at 262144 samples, so long runs computed
+	// percentiles over the warmup prefix only. A log-bucketed histogram
+	// fed by the device's observer must cover every request.
 	const n = 300_000 // > the old 262144 cap
 	d := New(quietProfile(), 1)
-	d.PMU().Enable()
+	lat := latencyHist{obs.NewHistogram()}
+	d.SetObserver(lat)
 	now := 0.0
 	r := sim.NewRand(4)
 	for i := 0; i < n; i++ {
@@ -48,10 +51,10 @@ func TestCPMUHistogramNeverTruncates(t *testing.T) {
 	if pmu.Requests != n {
 		t.Fatalf("CPMU recorded %d requests, want %d", pmu.Requests, n)
 	}
-	if got := pmu.LatencyHistogram().Count(); got != n {
+	if got := lat.Count(); got != n {
 		t.Fatalf("latency histogram holds %d samples, want all %d", got, n)
 	}
-	if p := pmu.Percentile(99.9); math.IsNaN(p) || p <= 0 {
+	if p := lat.Percentile(99.9); math.IsNaN(p) || p <= 0 {
 		t.Fatalf("p99.9 = %v", p)
 	}
 }

@@ -59,30 +59,19 @@ func (s CPMUState) ComponentDelta(prev CPMUState) (linkReq, schedWait, media, li
 		s.MediaNs - prev.MediaNs, s.LinkRspNs - prev.LinkRspNs
 }
 
-// StateProber is implemented by devices that can report instantaneous
-// CPMU-style state. Probing must be observation-only: enabling the
-// probe and reading state never changes simulated access timing.
-type StateProber interface {
-	// EnableStateProbe arms state tracking (off by default: tracking
-	// in-flight completions costs heap work per access).
-	EnableStateProbe()
-	// ProbeState reads the device state at simulated time nowNs.
-	// Probe times must be non-decreasing across calls.
-	ProbeState(nowNs float64) CPMUState
-}
+// EnableStateProbe arms the state that only ProbeState reads: the heap
+// of in-flight completions behind QueueDepth and the read/write byte
+// windows behind ReadGBs/WriteGBs. It is off by default because that
+// tracking costs heap work per access; the CPMU counters ProbeState
+// copies are always on. Probing is observation-only: arming the probe
+// and reading state never change simulated access timing. Like the
+// observer, the probe survives Reset.
+func (d *Device) EnableStateProbe() { d.probe = true }
 
-var _ StateProber = (*Device)(nil)
-
-// EnableStateProbe implements StateProber. It also enables the CPMU so
-// the cumulative component accumulators advance; like the CPMU enable
-// bit and the observer, the probe survives Reset.
-func (d *Device) EnableStateProbe() {
-	d.probe = true
-	d.pmu.Enable()
-}
-
-// ProbeState implements StateProber. The instantaneous bandwidth window
-// is [previous probe, nowNs]; the first probe measures from time 0.
+// ProbeState reads the device state at simulated time nowNs. Probe
+// times must be non-decreasing across calls. The instantaneous
+// bandwidth window is [previous probe, nowNs]; the first probe
+// measures from time 0.
 func (d *Device) ProbeState(nowNs float64) CPMUState {
 	for d.inflight.Len() > 0 && d.inflight.Min() <= nowNs {
 		d.inflight.PopMin()

@@ -7,7 +7,7 @@ import (
 	"github.com/moatlab/melody/internal/sim"
 )
 
-// TestProbeDoesNotPerturbTiming pins the StateProber contract: every
+// TestProbeDoesNotPerturbTiming pins the state probe's contract: every
 // access completes at the same simulated time with the probe armed or
 // not, including interleaved ProbeState reads.
 func TestProbeDoesNotPerturbTiming(t *testing.T) {
@@ -79,13 +79,18 @@ func TestProbeStateTracksQueueAndBandwidth(t *testing.T) {
 	}
 }
 
+// TestProbeCumulativeMatchesCPMU checks that a probe copies the CPMU
+// counters exactly, and that the counters are the ones an unprobed twin
+// device keeps: arming the probe does not switch counting on.
 func TestProbeCumulativeMatchesCPMU(t *testing.T) {
-	d := New(ProfileA(), 2)
+	d, twin := New(ProfileA(), 2), New(ProfileA(), 2)
 	d.EnableStateProbe()
 	r := sim.NewRand(9)
 	now := 0.0
 	for i := 0; i < 500; i++ {
-		now = d.Access(now, r.Uint64n(1<<30), mem.DemandRead) + 20
+		addr := r.Uint64n(1 << 30)
+		twin.Access(now, addr, mem.DemandRead)
+		now = d.Access(now, addr, mem.DemandRead) + 20
 	}
 	s := d.ProbeState(now)
 	pmu := d.PMU()
@@ -93,8 +98,11 @@ func TestProbeCumulativeMatchesCPMU(t *testing.T) {
 		s.MediaNs != pmu.MediaNs || s.LinkRspNs != pmu.LinkRspNs {
 		t.Fatalf("probe component copy diverges from CPMU: %+v vs %+v", s, pmu)
 	}
-	if s.HiccupStalls != pmu.HiccupStalls || s.ThermalStalls != pmu.ThermalStalls {
+	if s.HiccupStalls != pmu.HiccupStalls || s.ThermalStalls != pmu.ThermalStalls || s.Requests != pmu.Requests {
 		t.Fatal("probe governor counts diverge from CPMU")
+	}
+	if *pmu != *twin.PMU() {
+		t.Fatalf("probed CPMU %+v differs from unprobed %+v", *pmu, *twin.PMU())
 	}
 }
 

@@ -22,9 +22,10 @@ type Config struct {
 
 // Controller implements mem.Device for local DRAM.
 type Controller struct {
-	cfg   Config
-	mod   *dram.Module
-	stats mem.DeviceStats
+	cfg           Config
+	mod           *dram.Module
+	reads, writes uint64
+	lastDone      float64
 }
 
 var _ mem.Device = (*Controller)(nil)
@@ -40,7 +41,7 @@ func (c *Controller) Name() string { return c.cfg.Name }
 // Reset implements mem.Device.
 func (c *Controller) Reset() {
 	c.mod.Reset()
-	c.stats = mem.DeviceStats{}
+	c.reads, c.writes, c.lastDone = 0, 0, 0
 }
 
 // Module exposes the DRAM backend (for calibration tests).
@@ -56,20 +57,27 @@ func (c *Controller) Access(now float64, addr uint64, kind mem.Kind) float64 {
 		// Posted write: the CPU is done once the controller absorbs it,
 		// which we approximate as the scheduled data-transfer start.
 		completion = start
-		c.stats.Writes++
+		c.writes++
 	} else {
 		completion = done + c.cfg.PipelineNs/2
-		c.stats.Reads++
+		c.reads++
 	}
-	c.stats.RowHits = c.mod.RowHits()
-	c.stats.RowMisses = c.mod.RowMisses()
-	c.stats.BusyNs = c.mod.BusyNs()
-	c.stats.LastDone = completion
+	c.lastDone = completion
 	return completion
 }
 
-// Stats implements mem.Device.
-func (c *Controller) Stats() mem.DeviceStats { return c.stats }
+// Stats implements mem.Device. It reads the DRAM module's counters at
+// the time of the call.
+func (c *Controller) Stats() mem.DeviceStats {
+	return mem.DeviceStats{
+		Reads:     c.reads,
+		Writes:    c.writes,
+		RowHits:   c.mod.RowHits(),
+		RowMisses: c.mod.RowMisses(),
+		BusyNs:    c.mod.BusyNs(),
+		LastDone:  c.lastDone,
+	}
+}
 
 // PeakBandwidth returns the DRAM aggregate bandwidth in GB/s.
 func (c *Controller) PeakBandwidth() float64 { return c.mod.PeakBandwidth() }

@@ -5,6 +5,7 @@ import (
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/mio"
+	"github.com/moatlab/melody/internal/obs"
 	"github.com/moatlab/melody/internal/platform"
 	"github.com/moatlab/melody/internal/spa"
 	"github.com/moatlab/melody/internal/stats"
@@ -54,6 +55,15 @@ func Predict(ec *ExperimentContext) *Report {
 	return r
 }
 
+// deviceLatency records each access's device-internal latency, the sum
+// of its CPMU components (CPU-side overheads excluded), into a
+// log-bucketed histogram that covers every request of the run.
+type deviceLatency struct{ *obs.Histogram }
+
+func (h deviceLatency) ObserveAccess(a mem.AccessObservation) {
+	h.Record(a.LinkReqNs + a.SchedWaitNs + a.MediaNs + a.LinkRspNs)
+}
+
 // CPMUExp demonstrates the white-box tail analysis the paper proposes
 // via the CXL 3.0 performance monitoring unit: per-component latency
 // attribution inside each device, pinpointing *where* tails originate.
@@ -64,7 +74,8 @@ func CPMUExp(ec *ExperimentContext) *Report {
 		"linkReq", "sched", "media", "linkRsp", "p50", "p99.9", "hiccups", "thermal")
 	for _, prof := range cxl.Profiles() {
 		dev := cxl.New(prof, o.seed())
-		dev.PMU().Enable()
+		lat := deviceLatency{obs.NewHistogram()}
+		dev.SetObserver(lat)
 		cfg := mio.DefaultConfig()
 		cfg.DurationNs = o.durationNs() * 4
 		cfg.ChaseThreads = 4
@@ -73,7 +84,7 @@ func CPMUExp(ec *ExperimentContext) *Report {
 		pmu := dev.PMU()
 		lr, sw, md, lp := pmu.Breakdown()
 		r.Printf("  %-7s %8.1f  %8.1f  %8.1f  %8.1f  %8.0f  %8.0f  %7d  %7d",
-			prof.Name, lr, sw, md, lp, pmu.Percentile(50), pmu.Percentile(99.9),
+			prof.Name, lr, sw, md, lp, lat.Percentile(50), lat.Percentile(99.9),
 			pmu.HiccupStalls, pmu.ThermalStalls)
 	}
 	r.Note("tails on CXL-B/C originate in scheduler wait (hiccups), not media — the paper's hypothesis")

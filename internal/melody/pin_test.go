@@ -15,10 +15,12 @@ import (
 
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
+	"github.com/moatlab/melody/internal/imc"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/mio"
 	"github.com/moatlab/melody/internal/mlc"
 	"github.com/moatlab/melody/internal/platform"
+	"github.com/moatlab/melody/internal/sim"
 	"github.com/moatlab/melody/internal/workload"
 )
 
@@ -210,6 +212,106 @@ func TestSamplingPathPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	got["telemetry/registry"] = sum(raw)
+
+	for k, g := range got {
+		if want[k] != g {
+			t.Errorf("%s: digest %s, want %s", k, g, want[k])
+		}
+	}
+}
+
+// TestDevicePathPinned pins the exact output of every reader of a
+// memory device's counters: the cpmu, table1 and fig3b reports, and,
+// after one fixed seeded access mix with a Reset halfway, each CXL
+// profile's CPMU counters, its Stats() and state-probe series (probe
+// armed before the first access), the Stats() series of the same
+// profile with no probe, and the Stats() series of EMR's local
+// controller. The goldens are amd64 values.
+func TestDevicePathPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are amd64 float bits; the Go spec lets the compiler fuse x*y+z on %s, which can change them", runtime.GOARCH)
+	}
+	want := map[string]string{
+		"cpmu/report":          "15bd74ef5bedc85c",
+		"table1/report":        "cc0a2d6f87143512",
+		"fig3b/report":         "7963b0910300543b",
+		"CXL-A/cpmu":           "3fcbd652081d0d7d",
+		"CXL-A/stats":          "bd9bfa193d17ee9a",
+		"CXL-A/probe":          "c3d4d3492526c21e",
+		"CXL-A/stats-unprobed": "bd9bfa193d17ee9a",
+		"CXL-B/cpmu":           "37712fb4b9f3ffcb",
+		"CXL-B/stats":          "d897a8542d3dace2",
+		"CXL-B/probe":          "ac349993674a07aa",
+		"CXL-B/stats-unprobed": "d897a8542d3dace2",
+		"CXL-C/cpmu":           "0b291001eb8c69ca",
+		"CXL-C/stats":          "1d94b818639f3686",
+		"CXL-C/probe":          "99768bef48a7af0f",
+		"CXL-C/stats-unprobed": "1d94b818639f3686",
+		"CXL-D/cpmu":           "77522241a5ab448d",
+		"CXL-D/stats":          "3f1a168005de91dc",
+		"CXL-D/probe":          "7067bcd4774fceef",
+		"CXL-D/stats-unprobed": "3f1a168005de91dc",
+		"Local/stats":          "10301b9ad4fbf4e5",
+	}
+	got := map[string]string{}
+
+	eng := NewEngine(Options{DurationNs: 20_000, Seed: 1})
+	eng.Workers = 1
+	for _, id := range []string{"cpmu", "table1", "fig3b"} {
+		rep, _ := eng.RunByID(context.Background(), id)
+		h := sha256.Sum256([]byte(strings.Join(rep.Lines, "\n")))
+		got[id+"/report"] = hex.EncodeToString(h[:])[:16]
+	}
+
+	statVals := func(s mem.DeviceStats) []float64 {
+		return []float64{float64(s.Reads), float64(s.Writes), float64(s.RowHits), float64(s.RowMisses),
+			float64(s.Retries), float64(s.Throttled), s.BusyNs, s.LastDone}
+	}
+	// mix drives dev through 40000 accesses (reads of every kind and
+	// writes, 0-8 ns apart, so the governors engage) with a Reset and a
+	// clock restart halfway, calling at every 1000th access.
+	mix := func(dev mem.Device, at func(now float64)) {
+		rng := sim.NewRand(29)
+		now := 0.0
+		for i := 0; i < 40_000; i++ {
+			if i == 20_000 {
+				dev.Reset()
+				now = 0
+			}
+			now += rng.Float64() * 8
+			dev.Access(now, rng.Uint64n(1<<30)&^(mem.LineSize-1), mem.Kind(rng.Intn(5)))
+			if i%1000 == 999 {
+				at(now)
+			}
+		}
+	}
+	for _, prof := range cxl.Profiles() {
+		dev := cxl.New(prof, 7)
+		dev.EnableStateProbe()
+		var stats, probes []float64
+		mix(dev, func(now float64) {
+			stats = append(stats, statVals(dev.Stats())...)
+			s := dev.ProbeState(now)
+			probes = append(probes, s.TimeNs, float64(s.QueueDepth), float64(s.LinkCreditsInFlight),
+				b2f(s.ThermalActive), s.UtilFrac, s.ReadGBs, s.WriteGBs,
+				s.LinkReqNs, s.SchedWaitNs, s.MediaNs, s.LinkRspNs,
+				float64(s.HiccupStalls), float64(s.ThermalStalls), float64(s.Requests))
+		})
+		p := dev.PMU()
+		got[prof.Name+"/cpmu"] = floatDigest([]float64{p.LinkReqNs, p.SchedWaitNs, p.MediaNs, p.LinkRspNs,
+			float64(p.Requests), float64(p.HiccupStalls), float64(p.ThermalStalls)})
+		got[prof.Name+"/stats"] = floatDigest(stats)
+		got[prof.Name+"/probe"] = floatDigest(probes)
+
+		bare := cxl.New(prof, 7)
+		stats = stats[:0]
+		mix(bare, func(float64) { stats = append(stats, statVals(bare.Stats())...) })
+		got[prof.Name+"/stats-unprobed"] = floatDigest(stats)
+	}
+	local := platform.EMR2S().LocalDevice().(*imc.Controller)
+	var stats []float64
+	mix(local, func(float64) { stats = append(stats, statVals(local.Stats())...) })
+	got["Local/stats"] = floatDigest(stats)
 
 	for k, g := range got {
 		if want[k] != g {

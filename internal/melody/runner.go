@@ -354,8 +354,8 @@ func (r *Runner) runOnce(req RunRequest) Result {
 	// topology wrappers) sample CPU counters only.
 	var smp *sampler.Sampler
 	if r.Cadence.Period > 0 {
-		prober, _ := dev.(cxl.StateProber)
-		smp = sampler.New(prober)
+		cx, _ := dev.(*cxl.Device)
+		smp = sampler.New(cx)
 	}
 
 	// Telemetry: observe the device path and time the cell. The observer

@@ -3,7 +3,9 @@ package melody
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"testing"
+	"time"
 
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
@@ -204,5 +206,35 @@ func TestSampledStreamFeedsPeriodSpa(t *testing.T) {
 	}
 	if !attributed {
 		t.Fatal("no phase received device attribution from the CXL stream")
+	}
+}
+
+// TestSampledSeriesKeepsTiedCellsInRunOrder records more series than
+// sort.Slice's insertion-sort cutoff (12), five of them tied on
+// (workload, config, platform, experiment) like fig8d's intensity
+// variants, and checks the tied ones keep the order they ran in.
+func TestSampledSeriesKeepsTiedCellsInRunOrder(t *testing.T) {
+	tel := NewTelemetry()
+	tel.beginExperiment("fig8d")
+	var tied []float64
+	for i := 0; i < 16; i++ {
+		ct := CellTiming{Workload: "520.omnetpp_r", Config: "CXL-A", Platform: "EMR"}
+		if i%3 == 2 {
+			ct.Workload = fmt.Sprintf("w%02d", 15-i)
+		} else if i >= 10 {
+			ct.Config = "CXL-A+NUMA"
+		} else {
+			tied = append(tied, float64(i))
+		}
+		tel.cellSampled(ct, []sampler.Sample{{TimeNs: float64(i)}}, time.Time{})
+	}
+	var order []float64
+	for _, s := range tel.SampledSeries() {
+		if s.Workload == "520.omnetpp_r" && s.Config == "CXL-A" {
+			order = append(order, s.Samples[0].TimeNs)
+		}
+	}
+	if fmt.Sprint(order) != fmt.Sprint(tied) {
+		t.Fatalf("tied series in order %v, want run order %v", order, tied)
 	}
 }

@@ -205,7 +205,10 @@ func (t *Telemetry) cellSampled(ct CellTiming, samples []sampler.Sample, wallSta
 
 // SampledSeries returns the collected per-cell streams sorted by
 // (workload, config, platform, experiment) — a deterministic order
-// regardless of worker scheduling.
+// regardless of worker scheduling. Series tied on all four (fig8d's
+// intensity variants share them) keep the order they were recorded
+// in. That order is deterministic because an experiment runs its tied
+// cells one after another, each on its own isolated runner.
 func (t *Telemetry) SampledSeries() []SampledSeries {
 	if t == nil {
 		return nil
@@ -213,7 +216,7 @@ func (t *Telemetry) SampledSeries() []SampledSeries {
 	t.mu.Lock()
 	out := append([]SampledSeries(nil), t.sampled...)
 	t.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
+	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Workload != out[j].Workload {
 			return out[i].Workload < out[j].Workload
 		}

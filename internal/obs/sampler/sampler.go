@@ -37,7 +37,7 @@ type Sample struct {
 // core.Sampler. Not safe for concurrent use: each simulated cell owns
 // its own Sampler, mirroring per-core perf buffers.
 type Sampler struct {
-	probe   cxl.StateProber
+	probe   *cxl.Device
 	samples []Sample
 }
 
@@ -46,7 +46,7 @@ var _ core.Sampler = (*Sampler)(nil)
 // New builds a Sampler. probe may be nil (CPU counters only). A
 // non-nil probe is armed immediately so its bandwidth windows align
 // with the sampling cadence from the first period.
-func New(probe cxl.StateProber) *Sampler {
+func New(probe *cxl.Device) *Sampler {
 	s := &Sampler{probe: probe}
 	if probe != nil {
 		probe.EnableStateProbe()
