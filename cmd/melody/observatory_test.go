@@ -333,7 +333,7 @@ func TestObservatoryWithProfiler(t *testing.T) {
 	if !strings.Contains(string(body), "melody_observatory_hostprof_captures_total") {
 		t.Fatal("/metrics missing hostprof instruments")
 	}
-	snap := tel.Registry.Snapshot()
+	snap := tel.Registry.Export()
 	for _, m := range []map[string]struct{}{keys(snap.Counters), keys(snap.Gauges), keys(snap.Histograms)} {
 		for name := range m {
 			if strings.HasPrefix(name, "hostprof/") {

@@ -25,11 +25,11 @@ func writeManifest(t *testing.T, dir, name string, latencyMean float64) string {
 			{Workload: "w", Config: "CXL-B", Platform: "EMR2S", Seed: 3, WallMs: 2},
 		},
 		Timeseries: []melody.SampledSeries{},
-		Registry: obs.Snapshot{
+		Registry: obs.Export{
 			Counters: map[string]uint64{},
 			Gauges:   map[string]float64{},
-			Histograms: map[string]obs.Summary{
-				"device/EMR2S/CXL-B/latency_ns": {Count: 100, Mean: latencyMean, P99: latencyMean * 2},
+			Histograms: map[string]obs.HistogramExport{
+				"device/EMR2S/CXL-B/latency_ns": {Summary: obs.Summary{Count: 100, Mean: latencyMean, P99: latencyMean * 2}},
 			},
 		},
 	}

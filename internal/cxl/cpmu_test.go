@@ -77,7 +77,8 @@ func TestCPMUAttributesHiccups(t *testing.T) {
 	}
 	// The white-box view: tail latency comes from scheduler wait, not
 	// media (the paper's hypothesized root cause).
-	if gap := lat.Percentile(99.9) - lat.Percentile(50); gap < 100 {
+	s := lat.Export().Summary
+	if gap := s.P999 - s.P50; gap < 100 {
 		t.Fatalf("CPMU tail gap %.0f too small for CXL-B", gap)
 	}
 }
@@ -92,7 +93,7 @@ func TestCPMUPercentilesOrdered(t *testing.T) {
 		done := d.Access(now, r.Uint64n(1<<30), mem.DemandRead)
 		now = done
 	}
-	if !(lat.Percentile(50) <= lat.Percentile(99) && lat.Percentile(99) <= lat.Percentile(99.9)) {
+	if s := lat.Export().Summary; !(s.P50 <= s.P99 && s.P99 <= s.P999) {
 		t.Fatal("CPMU percentiles not ordered")
 	}
 	if d.PMU().String() == "" {

@@ -51,10 +51,11 @@ func TestCPMUHistogramNeverTruncates(t *testing.T) {
 	if pmu.Requests != n {
 		t.Fatalf("CPMU recorded %d requests, want %d", pmu.Requests, n)
 	}
-	if got := lat.Count(); got != n {
+	s := lat.Export().Summary
+	if got := s.Count; got != n {
 		t.Fatalf("latency histogram holds %d samples, want all %d", got, n)
 	}
-	if p := lat.Percentile(99.9); math.IsNaN(p) || p <= 0 {
+	if p := s.P999; math.IsNaN(p) || p <= 0 {
 		t.Fatalf("p99.9 = %v", p)
 	}
 }

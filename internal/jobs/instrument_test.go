@@ -111,7 +111,7 @@ func TestLifecycleMetricsAndDurations(t *testing.T) {
 	if done.ExecS != 3 {
 		t.Fatalf("exec_s = %v, want 3", done.ExecS)
 	}
-	snap := reg.Snapshot()
+	snap := reg.Export()
 	if got := snap.Counters["jobs/finished|state=done"]; got != 1 {
 		t.Fatalf("done counter = %d, want 1", got)
 	}
@@ -147,7 +147,7 @@ func TestFailedAndCanceledCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitState(t, m, st.ID, StateFailed)
-	if got := reg.Snapshot().Counters["jobs/finished|state=failed"]; got != 1 {
+	if got := reg.Export().Counters["jobs/finished|state=failed"]; got != 1 {
 		t.Fatalf("failed counter = %d, want 1", got)
 	}
 
@@ -184,7 +184,7 @@ func TestDrainCountsCanceled(t *testing.T) {
 	if canceled.State != StateCanceled {
 		t.Fatalf("queued job state = %s", canceled.State)
 	}
-	if got := reg.Snapshot().Counters["jobs/finished|state=canceled"]; got != 1 {
+	if got := reg.Export().Counters["jobs/finished|state=canceled"]; got != 1 {
 		t.Fatalf("canceled counter = %d, want 1", got)
 	}
 	close(g.release)

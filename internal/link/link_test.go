@@ -174,3 +174,31 @@ func TestDeliveryNeverBeforeArrival(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// BenchmarkLinkSend times one read's link traffic, a header-only
+// request flit and a data flit back 100 ns later, for requests 5 ns
+// apart (the spacing of BenchmarkCXLAccess). full-duplex has the CXL-B
+// expander's link, half-duplex the CXL-C one's, which also pays the
+// traffic-share bandwidth split.
+func BenchmarkLinkSend(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"full-duplex", Config{PropagationNs: 24, ReqBW: 28, RspBW: 28,
+			RetryProb: 0.0002, RetryPenaltyNs: 120, Credits: 64, CreditReturnNs: 150}},
+		{"half-duplex", Config{PropagationNs: 40, ReqBW: 30, RspBW: 30, HalfDuplex: true, TurnaroundNs: 6,
+			RetryProb: 0.001, RetryPenaltyNs: 250, Credits: 96, CreditReturnNs: 180}},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			l := New(c.cfg, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now := float64(i+1) * 5
+				l.Send(now, Req, 16)
+				l.Send(now+100, Rsp, 80)
+			}
+		})
+	}
+}

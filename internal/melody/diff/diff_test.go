@@ -34,15 +34,15 @@ func baseManifest() melody.Manifest {
 					Device: cxl.CPMUState{ReadGBs: 12, WriteGBs: 6}},
 			},
 		}},
-		Registry: obs.Snapshot{
+		Registry: obs.Export{
 			Counters: map[string]uint64{
 				"device/EMR2S/CXL-B/hiccup_stalls": 100,
 				"runner/cache_hit":                 5,
 			},
 			Gauges: map[string]float64{},
-			Histograms: map[string]obs.Summary{
-				"device/EMR2S/CXL-B/latency_ns": {Count: 1000, Mean: 400, P99: 900},
-				"runner/cell_wall_ms":           {Count: 1, Mean: 5, P99: 5},
+			Histograms: map[string]obs.HistogramExport{
+				"device/EMR2S/CXL-B/latency_ns": {Summary: obs.Summary{Count: 1000, Mean: 400, P99: 900}},
+				"runner/cell_wall_ms":           {Summary: obs.Summary{Count: 1, Mean: 5, P99: 5}},
 			},
 		},
 	}
@@ -132,7 +132,7 @@ func TestCompareStallCounterAndHostTimeHandling(t *testing.T) {
 	newM := baseManifest()
 	newM.Registry.Counters["device/EMR2S/CXL-B/hiccup_stalls"] = 200
 	// Host wall-time histogram changes must never gate.
-	newM.Registry.Histograms["runner/cell_wall_ms"] = obs.Summary{Count: 1, Mean: 5000, P99: 5000}
+	newM.Registry.Histograms["runner/cell_wall_ms"] = obs.HistogramExport{Summary: obs.Summary{Count: 1, Mean: 5000, P99: 5000}}
 	// Cache-outcome counters inform, never gate.
 	newM.Registry.Counters["runner/cache_hit"] = 0
 
@@ -147,7 +147,7 @@ func TestCompareNotesAndAlignment(t *testing.T) {
 	newM.Seed = 8
 	newM.Interrupted = true
 	newM.Cells[0].Seed = 99
-	newM.Registry.Histograms["device/EMR2S/Local/latency_ns"] = obs.Summary{Count: 1, Mean: 100}
+	newM.Registry.Histograms["device/EMR2S/Local/latency_ns"] = obs.HistogramExport{Summary: obs.Summary{Count: 1, Mean: 100}}
 	delete(newM.Registry.Counters, "runner/cache_hit")
 	h := newM.Registry.Histograms["device/EMR2S/CXL-B/latency_ns"]
 	h.Count = 999

@@ -83,8 +83,9 @@ func CPMUExp(ec *ExperimentContext) *Report {
 		mio.Run(dev, cfg)
 		pmu := dev.PMU()
 		lr, sw, md, lp := pmu.Breakdown()
+		s := lat.Export().Summary
 		r.Printf("  %-7s %8.1f  %8.1f  %8.1f  %8.1f  %8.0f  %8.0f  %7d  %7d",
-			prof.Name, lr, sw, md, lp, lat.Percentile(50), lat.Percentile(99.9),
+			prof.Name, lr, sw, md, lp, s.P50, s.P999,
 			pmu.HiccupStalls, pmu.ThermalStalls)
 	}
 	r.Note("tails on CXL-B/C originate in scheduler wait (hiccups), not media — the paper's hypothesis")

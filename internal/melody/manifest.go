@@ -47,7 +47,7 @@ type Manifest struct {
 	// Timeseries holds the per-cell sampled streams when -sample-every
 	// was set (sorted by workload then config).
 	Timeseries []SampledSeries `json:"timeseries"`
-	Registry   obs.Snapshot    `json:"registry"`
+	Registry   obs.Export      `json:"registry"`
 }
 
 // BuildManifest assembles the manifest from a finished (or
@@ -65,7 +65,7 @@ func BuildManifest(seed uint64, workers, workloads int, exps []ExperimentTiming,
 		Experiments: exps,
 		Cells:       tel.Cells(),
 		Timeseries:  tel.SampledSeries(),
-		Registry:    tel.Registry.Snapshot(),
+		Registry:    tel.Registry.Export(),
 	}
 	if m.Experiments == nil {
 		m.Experiments = []ExperimentTiming{}
@@ -101,11 +101,14 @@ func BuildManifest(seed uint64, workers, workloads int, exps []ExperimentTiming,
 
 // StripHostTime zeroes every host-wall-clock field: per-cell WallMs,
 // per-experiment WallS, and the runner/cell_wall_ms registry histogram.
-// What remains is a pure function of (seed, workloads, experiment set)
-// — the projection under which two runs of the same configuration are
-// byte-identical, which both the serve-isolation tests and melodydiff's
-// alignment rely on. Simulated-time metrics (device latency histograms,
-// counter streams) are untouched: they are deterministic already.
+// What remains is a function of the run's configuration — seed,
+// workloads, experiment set, budgets, workers and spec_hash — and of
+// the build and host it ran on: go_version, num_cpu, os, arch and
+// module stay. That is the projection under which two runs of the same
+// configuration with one binary on one kind of host are byte-identical,
+// which both the serve-isolation tests and melodydiff's alignment rely
+// on. Simulated-time metrics (device latency histograms, counter
+// streams) are untouched: they are deterministic already.
 func (m *Manifest) StripHostTime() {
 	for i := range m.Experiments {
 		m.Experiments[i].WallS = 0
@@ -118,17 +121,20 @@ func (m *Manifest) StripHostTime() {
 
 // Address returns the manifest's content address: "sha256:" plus the
 // hex digest of its canonical encoding under the StripHostTime
-// projection. Because that projection removes every nondeterministic
-// field, two runs of the same spec on one host — via CLI flags or the
-// job API — produce manifests with equal addresses; the job store and
-// the CI parity gate both key on this.
+// projection. That projection removes every nondeterministic field, so
+// two runs of the same spec with one binary on one host — via CLI
+// flags or the job API — produce manifests with equal addresses; the
+// job store and the CI parity gate both key on this. The worker count,
+// spec hash, Go version, CPU count, OS, architecture and module path
+// stay in the address, so runs that differ only in one of those have
+// different addresses even when every simulated number matches.
 func (m Manifest) Address() (string, error) {
 	// StripHostTime mutates; work on a copy deep enough to cover the
 	// fields it touches (timing slices and the histogram map).
 	c := m
 	c.Experiments = append([]ExperimentTiming(nil), m.Experiments...)
 	c.Cells = append([]CellTiming(nil), m.Cells...)
-	hists := make(map[string]obs.Summary, len(m.Registry.Histograms))
+	hists := make(map[string]obs.HistogramExport, len(m.Registry.Histograms))
 	for k, v := range m.Registry.Histograms {
 		hists[k] = v
 	}

@@ -1,6 +1,7 @@
 package melody
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/binary"
@@ -16,9 +17,12 @@ import (
 	"github.com/moatlab/melody/internal/core"
 	"github.com/moatlab/melody/internal/cxl"
 	"github.com/moatlab/melody/internal/imc"
+	"github.com/moatlab/melody/internal/jobs"
 	"github.com/moatlab/melody/internal/mem"
 	"github.com/moatlab/melody/internal/mio"
 	"github.com/moatlab/melody/internal/mlc"
+	"github.com/moatlab/melody/internal/obs"
+	"github.com/moatlab/melody/internal/obs/prom"
 	"github.com/moatlab/melody/internal/platform"
 	"github.com/moatlab/melody/internal/sim"
 	"github.com/moatlab/melody/internal/workload"
@@ -206,7 +210,7 @@ func TestSamplingPathPinned(t *testing.T) {
 	}
 	sort.Strings(cells)
 	got["telemetry/cells"] = fmt.Sprintf("%d:%s", len(cells), sum([]byte(strings.Join(cells, "\n"))))
-	reg := eng.Obs.Registry.Snapshot()
+	reg := eng.Obs.Registry.Export()
 	delete(reg.Histograms, "runner/cell_wall_ms")
 	if raw, err = json.Marshal(reg); err != nil {
 		t.Fatal(err)
@@ -325,4 +329,100 @@ func b2f(b bool) float64 {
 		return 1
 	}
 	return 0
+}
+
+// TestRegistryViewsPinned pins every reader of a telemetry registry on
+// one seeded registry: the manifest's registry section, the /metrics
+// exposition in both dialects (no exemplars, which carry wall-clock
+// stamps) and the /progress payload of a run whose telemetry holds
+// fixed values. The registry has plain, device and "|label=" paths, a
+// histogram assembled from Merges in shuffled order and one that
+// never saw a sample. The goldens are amd64 values.
+func TestRegistryViewsPinned(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skipf("golden digests are amd64 float bits; the Go spec lets the compiler fuse x*y+z on %s, which can change them", runtime.GOARCH)
+	}
+	want := map[string]string{
+		"manifest/registry":   "3fb9c60201b902bb",
+		"metrics/text":        "2ec9b4e28489a182",
+		"metrics/openmetrics": "c2bd6019cf83906d",
+		"progress":            "9a43e8a05b04f63a",
+	}
+	got := map[string]string{}
+	sum := func(b []byte) string {
+		h := sha256.Sum256(b)
+		return hex.EncodeToString(h[:])[:16]
+	}
+
+	rng := sim.NewRand(30)
+	reg := obs.NewRegistry()
+	reg.Counter("runner/cache_hit").Add(41)
+	reg.Counter("runner/cells_run").Add(17)
+	reg.Counter("device/EMR2S/CXL-B/reads").Add(90_210)
+	reg.Counter("device/EMR2S/CXL-B/writes").Add(3_007)
+	reg.Counter("http/requests|route=/progress|class=2xx").Add(5)
+	reg.Counter("http/requests|route=/runs/{id}|class=4xx").Add(2)
+	reg.Gauge("jobs/queue_depth").Set(3)
+	reg.Gauge("ledger/bytes").Set(1234.5678)
+	reg.Gauge("http/in_flight|route=/metrics").Set(1)
+	cells := make([]*obs.Histogram, 6)
+	for i := range cells {
+		cells[i] = obs.NewHistogram()
+		for j := 0; j < 200*(i+1); j++ {
+			cells[i].Record(150 + rng.Float64()*rng.Float64()*900*float64(i+1))
+		}
+	}
+	lat := reg.Histogram("device/EMR2S/CXL-B/latency_ns")
+	for _, i := range []int{4, 1, 5, 0, 3, 2} {
+		lat.Merge(cells[i])
+	}
+	wall := reg.Histogram("runner/cell_wall_ms")
+	for j := 0; j < 50; j++ {
+		wall.Record(rng.Float64() * 40)
+	}
+	reg.Histogram("device/EMR2S/CXL-B/sched_wait_ns") // never recorded
+
+	raw, err := EncodeManifest(Manifest{Registry: reg.Export()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got["manifest/registry"] = sum(raw)
+	var buf bytes.Buffer
+	if err := prom.Write(&buf, "melody", reg.Export(), prom.FormatText); err != nil {
+		t.Fatal(err)
+	}
+	got["metrics/text"] = sum(buf.Bytes())
+	buf.Reset()
+	if err := prom.Write(&buf, "melody", reg.Export(), prom.FormatOpenMetrics); err != nil {
+		t.Fatal(err)
+	}
+	if err := prom.WriteEOF(&buf); err != nil {
+		t.Fatal(err)
+	}
+	got["metrics/openmetrics"] = sum(buf.Bytes())
+
+	tel := NewTelemetry()
+	tel.Registry.Counter("runner/cache_hit").Add(9)
+	tel.Registry.Counter("runner/cache_miss").Add(12)
+	tel.Registry.Counter("runner/cache_wait").Add(2)
+	tel.Registry.Counter("runner/cells_run").Add(12)
+	for _, ms := range []float64{3.5, 8.25, 1.125, 40, 12.5, 7, 7, 95.75, 2.5, 18, 0.75, 5.5} {
+		tel.Registry.Histogram("runner/cell_wall_ms").Record(ms)
+	}
+	st := NewRunStatus(tel)
+	st.Declare([]string{"fig8a", "fig9b"})
+	st.Apply(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig8a"})
+	st.Apply(jobs.Event{Type: jobs.EventCell, Experiment: "fig8a", Done: 12, Total: 12})
+	st.Apply(jobs.Event{Type: jobs.EventExperimentEnd, Experiment: "fig8a", WallS: 1.5})
+	st.Apply(jobs.Event{Type: jobs.EventExperimentStart, Experiment: "fig9b"})
+	if raw, err = json.MarshalIndent(st.Snapshot(), "", " "); err != nil {
+		t.Fatal(err)
+	}
+	got["progress"] = sum(raw)
+
+	for k, g := range got {
+		if want[k] != g {
+			t.Errorf("%s: digest %s, want %s", k, g, want[k])
+		}
+	}
 }

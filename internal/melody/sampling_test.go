@@ -132,7 +132,7 @@ func TestTelemetryCollectsSampledSeries(t *testing.T) {
 			t.Fatalf("series not sorted: %s@%s before %s@%s", a.Workload, a.Config, b.Workload, b.Config)
 		}
 	}
-	snap := tel.Registry.Snapshot()
+	snap := tel.Registry.Export()
 	if snap.Counters["runner/cells_sampled"] != uint64(len(series)) {
 		t.Fatalf("cells_sampled = %d, series = %d", snap.Counters["runner/cells_sampled"], len(series))
 	}

@@ -130,12 +130,12 @@ func (t *Telemetry) CellsRun() uint64 {
 }
 
 // CellWallSummary digests the per-cell wall-time histogram. It holds
-// only that histogram's lock, for one pass over its buckets.
+// only that histogram's lock, for one Export.
 func (t *Telemetry) CellWallSummary() obs.Summary {
 	if t == nil {
 		return obs.Summary{}
 	}
-	return t.cellWall.Summarize()
+	return t.cellWall.Export().Summary
 }
 
 // Cells returns a copy of the per-cell timing log.

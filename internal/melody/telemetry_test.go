@@ -49,7 +49,7 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 			t.Fatalf("malformed cell timing: %+v", c)
 		}
 	}
-	s := tel.Registry.Snapshot()
+	s := tel.Registry.Export()
 	if s.Counters["runner/cells_run"] != uint64(len(cells)) {
 		t.Fatalf("cells_run = %d, cells logged = %d", s.Counters["runner/cells_run"], len(cells))
 	}
@@ -77,7 +77,7 @@ func TestTelemetryDoesNotPerturbReport(t *testing.T) {
 	if _, err := json.Marshal(tel.Trace); err != nil {
 		t.Fatalf("trace does not marshal: %v", err)
 	}
-	if _, err := json.Marshal(tel.Registry.Snapshot()); err != nil {
+	if _, err := json.Marshal(tel.Registry.Export()); err != nil {
 		t.Fatalf("registry does not marshal: %v", err)
 	}
 }
@@ -119,7 +119,7 @@ func TestCanceledCellsLeaveNoSpans(t *testing.T) {
 				t.Fatalf("-j %d: canceled cell on the request trace: %+v", workers, sp)
 			}
 		}
-		if n := tel.Registry.Snapshot().Counters["runner/cells_run"]; n != 0 {
+		if n := tel.Registry.Export().Counters["runner/cells_run"]; n != 0 {
 			t.Fatalf("-j %d: cells_run = %d, want 0", workers, n)
 		}
 
@@ -152,7 +152,7 @@ func TestCanceledCellsLeaveNoSpans(t *testing.T) {
 		if experiments != 1 {
 			t.Fatalf("-j %d, no request span: %d experiment events, want 1", workers, experiments)
 		}
-		if n := tel.Registry.Snapshot().Counters["runner/cells_run"]; n != 0 {
+		if n := tel.Registry.Export().Counters["runner/cells_run"]; n != 0 {
 			t.Fatalf("-j %d, no request span: cells_run = %d, want 0", workers, n)
 		}
 	}
@@ -190,7 +190,7 @@ func TestTelemetryCacheOutcomes(t *testing.T) {
 	if _, err := r.RunCtx(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
-	s := tel.Registry.Snapshot()
+	s := tel.Registry.Export()
 	if s.Counters["runner/cache_miss"] != 1 || s.Counters["runner/cache_hit"] != 1 {
 		t.Fatalf("outcomes = miss %d hit %d wait %d, want 1/1/0",
 			s.Counters["runner/cache_miss"], s.Counters["runner/cache_hit"],
@@ -220,7 +220,7 @@ func TestTelemetryCacheSingleflight(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	s := tel.Registry.Snapshot()
+	s := tel.Registry.Export()
 	miss, hit, wait := s.Counters["runner/cache_miss"], s.Counters["runner/cache_hit"], s.Counters["runner/cache_wait"]
 	if miss != 1 {
 		t.Fatalf("cell computed %d times, want 1", miss)

@@ -15,7 +15,6 @@ type DeviceObserver struct {
 	LinkReq, SchedWait, Media, LinkRsp *Histogram
 
 	reads, writes     uint64
-	attributed        uint64
 	hiccups, thermals uint64
 }
 
@@ -45,7 +44,6 @@ func (o *DeviceObserver) ObserveAccess(a mem.AccessObservation) {
 	if !a.Attributed {
 		return
 	}
-	o.attributed++
 	o.LinkReq.record(a.LinkReqNs)
 	o.SchedWait.record(a.SchedWaitNs)
 	o.Media.record(a.MediaNs)
@@ -61,8 +59,9 @@ func (o *DeviceObserver) ObserveAccess(a mem.AccessObservation) {
 // MergeInto folds the observer's state into reg under prefix, e.g.
 // prefix "device/EMR2S/CXL-B" yields "device/EMR2S/CXL-B/latency_ns",
 // ".../sched_wait_ns", ".../reads", ... Component instruments are only
-// created when attributed observations arrived, so non-CXL configs dump
-// a latency histogram without four empty component entries.
+// created when attributed observations arrived (LinkReq holds one
+// sample per attributed access), so non-CXL configs dump a latency
+// histogram without four empty component entries.
 func (o *DeviceObserver) MergeInto(reg *Registry, prefix string) {
 	if o == nil || reg == nil {
 		return
@@ -70,7 +69,7 @@ func (o *DeviceObserver) MergeInto(reg *Registry, prefix string) {
 	reg.Histogram(prefix + "/latency_ns").Merge(o.Latency)
 	reg.Counter(prefix + "/reads").Add(o.reads)
 	reg.Counter(prefix + "/writes").Add(o.writes)
-	if o.attributed == 0 {
+	if o.LinkReq.n == 0 {
 		return
 	}
 	reg.Histogram(prefix + "/link_req_ns").Merge(o.LinkReq)

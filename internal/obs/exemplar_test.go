@@ -41,10 +41,11 @@ func TestRecordExemplarLatestWins(t *testing.T) {
 func TestRecordExemplarEmptyTraceIsPlainRecord(t *testing.T) {
 	h := NewHistogram()
 	h.RecordExemplar(4.0, "")
-	if h.Count() != 1 {
-		t.Fatalf("count = %d, want 1", h.Count())
+	ex := h.Export()
+	if ex.Count != 1 {
+		t.Fatalf("count = %d, want 1", ex.Count)
 	}
-	if e := h.Export().Buckets[0].Exemplar; e != nil {
+	if e := ex.Buckets[0].Exemplar; e != nil {
 		t.Fatalf("empty trace id stored exemplar %+v", *e)
 	}
 }
@@ -55,7 +56,7 @@ func TestRecordExemplarIdenticalDistribution(t *testing.T) {
 		a.Record(v)
 		b.RecordExemplar(v, "4bf92f3577b34da6a3ce929d0e0e4736")
 	}
-	if a.Summarize() != b.Summarize() {
+	if a.Export().Summary != b.Export().Summary {
 		t.Fatal("RecordExemplar perturbed the distribution digest")
 	}
 }

@@ -1,7 +1,9 @@
 // Package obs is the simulator's telemetry core: log-bucketed latency
-// histograms with percentile queries, named counters and gauges in a
-// Registry, and span/trace recording that emits Chrome trace-event JSON
-// viewable in Perfetto (ui.perfetto.dev) or chrome://tracing.
+// histograms, named counters and gauges in a Registry, and span/trace
+// recording that emits Chrome trace-event JSON viewable in Perfetto
+// (ui.perfetto.dev) or chrome://tracing. Export is the one read of a
+// Registry and of a Histogram: the run manifest, /metrics and
+// /progress all take it, so every consumer sees the same numbers.
 //
 // The package exists because the paper's central complaint is opacity —
 // "no tools exist to pinpoint tail latencies" until CPMU-style counters
@@ -181,8 +183,8 @@ func bucketValue(i int) float64 {
 }
 
 // Record adds one sample. Non-finite values (NaN, ±Inf) are dropped:
-// one bad sample must not poison Sum/Mean for the run, and the
-// registry's JSON snapshot could not marshal them anyway.
+// one bad sample must not poison the run's sum and mean, and the
+// registry's JSON export could not marshal them anyway.
 func (h *Histogram) Record(v float64) {
 	h.mu.Lock()
 	h.record(v)
@@ -213,8 +215,9 @@ func (h *Histogram) record(v float64) int {
 // non-empty, remembers it as the exemplar for the bucket it fell in
 // (latest sample wins — the freshest trace is the one an operator can
 // still act on). Distribution state is identical to a plain Record:
-// exemplars only surface in Export, never in Summarize, so manifests
-// are unaffected by who recorded with a trace attached.
+// exemplars only surface in Export's bucket ladder, never in its
+// Summary, so manifests are unaffected by who recorded with a trace
+// attached.
 func (h *Histogram) RecordExemplar(v float64, traceID string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -224,13 +227,6 @@ func (h *Histogram) RecordExemplar(v float64, traceID string) {
 		}
 		h.exemplars[idx] = Exemplar{Value: v, TraceID: traceID, Time: time.Now()}
 	}
-}
-
-// Count returns the number of recorded samples.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.n
 }
 
 // sumLocked folds directly recorded samples and merged parts into the
@@ -249,47 +245,10 @@ func (h *Histogram) sumLocked() float64 {
 	return total + h.sum
 }
 
-// Sum returns the sum of recorded samples (exact, not bucketed).
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sumLocked()
-}
-
-// Mean returns the exact mean of recorded samples (0 when empty).
-func (h *Histogram) Mean() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return 0
-	}
-	return h.sumLocked() / float64(h.n)
-}
-
-// Min returns the smallest recorded sample (exact; 0 when empty).
-func (h *Histogram) Min() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.min
-}
-
-// Max returns the largest recorded sample (exact; 0 when empty).
-func (h *Histogram) Max() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.max
-}
-
-// Percentile returns the p-th percentile (0-100) of recorded samples,
-// NaN when empty. The answer is a bucket midpoint clamped to the exact
-// observed [min, max], so the relative error is bounded by the bucket
-// width and p=0 / p=100 are exact.
-func (h *Histogram) Percentile(p float64) float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.percentileLocked(p)
-}
-
+// percentileLocked returns the p-th percentile (0-100) of recorded
+// samples, NaN when empty. The answer is a bucket midpoint clamped to
+// the exact observed [min, max], so the relative error is bounded by
+// the bucket width and p=0 / p=100 are exact.
 func (h *Histogram) percentileLocked(p float64) float64 {
 	if h.n == 0 {
 		return math.NaN()
@@ -382,23 +341,44 @@ type HistogramBucket struct {
 	Exemplar *Exemplar
 }
 
-// HistogramExport is the full-fidelity dump encoders (e.g. obs/prom)
-// consume: exact count/sum/min/max plus the cumulative bucket ladder.
-// All fields come from one critical section, so Count always equals the
-// last bucket's cumulative count.
+// HistogramExport is the one read of a histogram. The manifest and
+// /progress marshal its Summary (Buckets never reaches JSON); the
+// /metrics exposition in obs/prom also walks the cumulative bucket
+// ladder. Both parts come from one critical section, so Count always
+// equals the last bucket's cumulative count.
 type HistogramExport struct {
-	Count   uint64
-	Sum     float64
-	Min     float64
-	Max     float64
-	Buckets []HistogramBucket
+	Summary
+	Buckets []HistogramBucket `json:"-"`
 }
 
-// Export captures the histogram's state at bucket granularity.
+// Export captures the histogram's state.
 func (h *Histogram) Export() HistogramExport {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	ex := HistogramExport{Count: h.n, Sum: h.sumLocked(), Min: h.min, Max: h.max}
+	var ex HistogramExport
+	if h.n == 0 {
+		return ex
+	}
+	sum := h.sumLocked()
+	ex.Summary = Summary{
+		Count: h.n,
+		Sum:   sum,
+		Mean:  sum / float64(h.n),
+		Min:   h.min,
+		Max:   h.max,
+		P50:   h.percentileLocked(50),
+		P90:   h.percentileLocked(90),
+		P99:   h.percentileLocked(99),
+		P999:  h.percentileLocked(99.9),
+	}
+	// Size the ladder exactly: every manifest builds one per histogram.
+	used := 0
+	for _, c := range h.counts {
+		if c != 0 {
+			used++
+		}
+	}
+	ex.Buckets = make([]HistogramBucket, 0, used)
 	var cum uint64
 	for i := range h.counts {
 		if h.counts[i] == 0 {
@@ -410,7 +390,7 @@ func (h *Histogram) Export() HistogramExport {
 			Count:      cum,
 		}
 		if e, ok := h.exemplars[i]; ok {
-			e := e
+			e := e // only buckets with an exemplar allocate one
 			b.Exemplar = &e
 		}
 		ex.Buckets = append(ex.Buckets, b)
@@ -424,9 +404,9 @@ func bucketUpperBound(i int) float64 {
 	return math.Exp2(float64(i+1)/histSubBuckets + histMinExp)
 }
 
-// Summary is the JSON-friendly digest of a histogram. Percentile fields
-// are zero (not NaN) when the histogram is empty so the struct always
-// marshals.
+// Summary is the JSON digest of a histogram: exact count, sum, mean,
+// min and max, and bucketed percentiles. Every field is zero (not NaN)
+// when the histogram is empty, so the struct always marshals.
 type Summary struct {
 	Count uint64  `json:"count"`
 	Sum   float64 `json:"sum"`
@@ -437,25 +417,4 @@ type Summary struct {
 	P90   float64 `json:"p90"`
 	P99   float64 `json:"p99"`
 	P999  float64 `json:"p999"`
-}
-
-// Summarize returns the histogram's digest.
-func (h *Histogram) Summarize() Summary {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.n == 0 {
-		return Summary{}
-	}
-	sum := h.sumLocked()
-	return Summary{
-		Count: h.n,
-		Sum:   sum,
-		Mean:  sum / float64(h.n),
-		Min:   h.min,
-		Max:   h.max,
-		P50:   h.percentileLocked(50),
-		P90:   h.percentileLocked(90),
-		P99:   h.percentileLocked(99),
-		P999:  h.percentileLocked(99.9),
-	}
 }

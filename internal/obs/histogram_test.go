@@ -22,14 +22,11 @@ func exactPercentile(xs []float64, p float64) float64 {
 
 func TestHistogramEmpty(t *testing.T) {
 	h := NewHistogram()
-	if h.Count() != 0 || h.Sum() != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram has non-zero stats")
+	if ex := h.Export(); ex.Summary != (Summary{}) || ex.Buckets != nil {
+		t.Fatalf("empty export = %+v", ex)
 	}
-	if !math.IsNaN(h.Percentile(50)) {
+	if !math.IsNaN(h.percentileLocked(50)) {
 		t.Fatal("empty histogram percentile should be NaN")
-	}
-	if s := h.Summarize(); s != (Summary{}) {
-		t.Fatalf("empty summary = %+v", s)
 	}
 }
 
@@ -46,17 +43,18 @@ func TestHistogramPercentileAccuracy(t *testing.T) {
 		xs = append(xs, v)
 		h.Record(v)
 	}
-	if h.Count() != uint64(len(xs)) {
-		t.Fatalf("count = %d, want %d (histograms must not truncate)", h.Count(), len(xs))
+	ex := h.Export()
+	if ex.Count != uint64(len(xs)) {
+		t.Fatalf("count = %d, want %d (histograms must not truncate)", ex.Count, len(xs))
 	}
 	for _, p := range []float64{10, 50, 90, 99, 99.9} {
-		got, want := h.Percentile(p), exactPercentile(xs, p)
+		got, want := h.percentileLocked(p), exactPercentile(xs, p)
 		if rel := math.Abs(got-want) / want; rel > 0.04 {
 			t.Fatalf("p%v = %.1f, exact %.1f (rel err %.1f%% > 4%%)", p, got, want, rel*100)
 		}
 	}
 	// Extremes are exact.
-	if h.Percentile(0) != h.Min() || h.Percentile(100) != h.Max() {
+	if h.percentileLocked(0) != ex.Min || h.percentileLocked(100) != ex.Max {
 		t.Fatal("p0/p100 not exact min/max")
 	}
 }
@@ -69,7 +67,7 @@ func TestHistogramMonotonePercentiles(t *testing.T) {
 	}
 	prev := math.Inf(-1)
 	for p := 0.0; p <= 100; p += 0.5 {
-		v := h.Percentile(p)
+		v := h.percentileLocked(p)
 		if v < prev {
 			t.Fatalf("percentiles not monotone: p%v = %v < %v", p, v, prev)
 		}
@@ -84,8 +82,8 @@ func TestHistogramEdgeValues(t *testing.T) {
 	}
 	// NaN is dropped (non-finite samples never poison Sum/Mean); the
 	// four finite values are kept.
-	if h.Count() != 4 {
-		t.Fatalf("count = %d, want 4", h.Count())
+	if n := h.Export().Count; n != 4 {
+		t.Fatalf("count = %d, want 4", n)
 	}
 }
 
@@ -98,23 +96,24 @@ func TestHistogramMerge(t *testing.T) {
 		b.Record(float64(i))
 	}
 	a.Merge(b)
-	if a.Count() != 200 {
-		t.Fatalf("merged count = %d", a.Count())
+	ex := a.Export()
+	if ex.Count != 200 {
+		t.Fatalf("merged count = %d", ex.Count)
 	}
-	if a.Min() != 1 || a.Max() != 200 {
-		t.Fatalf("merged min/max = %v/%v", a.Min(), a.Max())
+	if ex.Min != 1 || ex.Max != 200 {
+		t.Fatalf("merged min/max = %v/%v", ex.Min, ex.Max)
 	}
-	if got := a.Percentile(50); math.Abs(got-100)/100 > 0.05 {
+	if got := a.percentileLocked(50); math.Abs(got-100)/100 > 0.05 {
 		t.Fatalf("merged p50 = %v, want ~100", got)
 	}
 	a.Merge(nil) // no-op
 	a.Merge(a)   // self-merge no-op, must not deadlock
-	if a.Count() != 200 {
+	if a.Export().Count != 200 {
 		t.Fatal("nil/self merge changed the histogram")
 	}
 	empty := NewHistogram()
 	empty.Merge(a)
-	if empty.Count() != 200 || empty.Min() != 1 {
+	if ex := empty.Export(); ex.Count != 200 || ex.Min != 1 {
 		t.Fatal("merge into empty lost state")
 	}
 }
@@ -128,9 +127,9 @@ func TestHistogramMergeEmptyIntoFull(t *testing.T) {
 	h.Record(5)
 	h.Record(10)
 	h.Merge(NewHistogram())
-	if h.Count() != 2 || h.Min() != 5 || h.Max() != 10 || h.Sum() != 15 {
+	if ex := h.Export(); ex.Count != 2 || ex.Min != 5 || ex.Max != 10 || ex.Sum != 15 {
 		t.Fatalf("empty merge perturbed state: count=%d min=%v max=%v sum=%v",
-			h.Count(), h.Min(), h.Max(), h.Sum())
+			ex.Count, ex.Min, ex.Max, ex.Sum)
 	}
 }
 
@@ -149,18 +148,19 @@ func TestHistogramMergeEdgeBuckets(t *testing.T) {
 	h := NewHistogram()
 	h.Merge(tiny)
 	h.Merge(huge)
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	ex := h.Export()
+	if ex.Count != 5 {
+		t.Fatalf("count = %d, want 5", ex.Count)
 	}
-	if h.Min() != -3 || h.Max() != 2e30 {
-		t.Fatalf("min/max = %v/%v, want -3/2e30", h.Min(), h.Max())
+	if ex.Min != -3 || ex.Max != 2e30 {
+		t.Fatalf("min/max = %v/%v, want -3/2e30", ex.Min, ex.Max)
 	}
-	if want := 1e-30 - 3 + 1e30 + 2e30; math.Abs(h.Sum()-want) > 1e-12*want {
-		t.Fatalf("sum = %v, want %v", h.Sum(), want)
+	if want := 1e-30 - 3 + 1e30 + 2e30; math.Abs(ex.Sum-want) > 1e-12*want {
+		t.Fatalf("sum = %v, want %v", ex.Sum, want)
 	}
 	// Percentile extremes stay exact (clamped to observed min/max).
-	if h.Percentile(0) != -3 || h.Percentile(100) != 2e30 {
-		t.Fatalf("p0/p100 = %v/%v", h.Percentile(0), h.Percentile(100))
+	if h.percentileLocked(0) != -3 || h.percentileLocked(100) != 2e30 {
+		t.Fatalf("p0/p100 = %v/%v", h.percentileLocked(0), h.percentileLocked(100))
 	}
 }
 
@@ -177,13 +177,13 @@ func TestHistogramMergeMinMaxInterleaved(t *testing.T) {
 	}
 	a := mk(2, 50)
 	a.Merge(mk(1, 40))
-	if a.Min() != 1 || a.Max() != 50 {
-		t.Fatalf("a min/max = %v/%v, want 1/50", a.Min(), a.Max())
+	if ex := a.Export(); ex.Min != 1 || ex.Max != 50 {
+		t.Fatalf("a min/max = %v/%v, want 1/50", ex.Min, ex.Max)
 	}
 	b := mk(1, 40)
 	b.Merge(mk(2, 50))
-	if b.Min() != 1 || b.Max() != 50 {
-		t.Fatalf("b min/max = %v/%v, want 1/50", b.Min(), b.Max())
+	if ex := b.Export(); ex.Min != 1 || ex.Max != 50 {
+		t.Fatalf("b min/max = %v/%v, want 1/50", ex.Min, ex.Max)
 	}
 }
 
@@ -201,8 +201,8 @@ func TestHistogramConcurrentRecord(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != 80_000 {
-		t.Fatalf("concurrent count = %d, want 80000", h.Count())
+	if n := h.Export().Count; n != 80_000 {
+		t.Fatalf("concurrent count = %d, want 80000", n)
 	}
 }
 
@@ -267,13 +267,13 @@ func TestHistogramNonFiniteIgnored(t *testing.T) {
 	h.Record(math.Inf(1))
 	h.Record(math.Inf(-1))
 	h.Record(30)
-	if h.Count() != 2 {
-		t.Fatalf("count = %d, want 2 (non-finite samples must be dropped)", h.Count())
+	s := h.Export().Summary
+	if s.Count != 2 {
+		t.Fatalf("count = %d, want 2 (non-finite samples must be dropped)", s.Count)
 	}
-	if h.Sum() != 40 || h.Min() != 10 || h.Max() != 30 {
-		t.Fatalf("sum/min/max = %v/%v/%v, want 40/10/30", h.Sum(), h.Min(), h.Max())
+	if s.Sum != 40 || s.Min != 10 || s.Max != 30 {
+		t.Fatalf("sum/min/max = %v/%v/%v, want 40/10/30", s.Sum, s.Min, s.Max)
 	}
-	s := h.Summarize()
 	for name, v := range map[string]float64{"sum": s.Sum, "mean": s.Mean, "min": s.Min,
 		"max": s.Max, "p50": s.P50, "p99": s.P99} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
@@ -284,8 +284,8 @@ func TestHistogramNonFiniteIgnored(t *testing.T) {
 
 // TestHistogramPercentileMonotoneProperty is the property test behind
 // the percentile contract: for any recorded distribution — including
-// edge-bucket clamps, repeated values and non-finite noise — Percentile
-// must be non-decreasing in p and pinned to min/max at the ends.
+// edge-bucket clamps, repeated values and non-finite noise — the
+// percentile must be non-decreasing in p and pinned to min/max at the ends.
 func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 	for trial := uint64(0); trial < 25; trial++ {
 		r := sim.NewRand(1000 + trial)
@@ -301,24 +301,25 @@ func TestHistogramPercentileMonotoneProperty(t *testing.T) {
 			}
 			h.Record(v)
 		}
+		ex := h.Export()
 		prev := math.Inf(-1)
 		for p := 0.0; p <= 100; p += 0.25 {
-			v := h.Percentile(p)
+			v := h.percentileLocked(p)
 			if math.IsNaN(v) {
-				if h.Count() == 0 {
+				if ex.Count == 0 {
 					break
 				}
-				t.Fatalf("trial %d: Percentile(%v) = NaN with %d samples", trial, p, h.Count())
+				t.Fatalf("trial %d: percentile(%v) = NaN with %d samples", trial, p, ex.Count)
 			}
 			if v < prev {
 				t.Fatalf("trial %d: percentiles not monotone: p%v = %v < %v", trial, p, v, prev)
 			}
 			prev = v
 		}
-		if h.Count() > 0 {
-			if h.Percentile(0) != h.Min() || h.Percentile(100) != h.Max() {
+		if ex.Count > 0 {
+			if h.percentileLocked(0) != ex.Min || h.percentileLocked(100) != ex.Max {
 				t.Fatalf("trial %d: p0/p100 = %v/%v, want exact min/max %v/%v",
-					trial, h.Percentile(0), h.Percentile(100), h.Min(), h.Max())
+					trial, h.percentileLocked(0), h.percentileLocked(100), ex.Min, ex.Max)
 			}
 		}
 	}
@@ -379,7 +380,8 @@ func TestHistogramMergeOrderIndependentSum(t *testing.T) {
 		for _, idx := range order {
 			h.Merge(cells[idx])
 		}
-		return h.Sum(), h.Mean()
+		ex := h.Export()
+		return ex.Sum, ex.Mean
 	}
 	order := make([]int, parts)
 	for i := range order {
@@ -407,7 +409,7 @@ func TestHistogramMergeOrderIndependentSum(t *testing.T) {
 	d := NewHistogram()
 	d.Merge(cells[2])
 	d.Merge(b)
-	if c.Sum() != d.Sum() {
-		t.Fatalf("chained merge order changed sum: %v != %v", c.Sum(), d.Sum())
+	if c.Export().Sum != d.Export().Sum {
+		t.Fatalf("chained merge order changed sum: %v != %v", c.Export().Sum, d.Export().Sum)
 	}
 }

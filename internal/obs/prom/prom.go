@@ -69,7 +69,7 @@ const (
 	// bucket lines carry their exemplar clause, and the stream must end
 	// with the "# EOF" terminator — emitted once by the caller via
 	// WriteEOF, since one exposition may concatenate several
-	// WriteFormat calls.
+	// Write calls.
 	FormatOpenMetrics
 )
 
@@ -110,7 +110,7 @@ func qualityZero(params string) bool {
 
 // WriteEOF terminates an OpenMetrics exposition. OpenMetrics requires
 // exactly one "# EOF" after the final family; callers emit it after
-// their last WriteFormat call. Classic 0.0.4 output has no terminator
+// their last Write call. Classic 0.0.4 output has no terminator
 // and must not get one.
 func WriteEOF(w io.Writer) error {
 	_, err := io.WriteString(w, "# EOF\n")
@@ -151,19 +151,14 @@ type family struct {
 	series []series
 }
 
-// Write renders ex under namespace (e.g. "melody") in the classic
-// 0.0.4 exposition format. Families whose sanitized names collide
-// across instrument kinds are rejected — mixed-type families are
-// invalid exposition — so callers find naming clashes in tests, not in
-// their scraper logs.
-func Write(w io.Writer, namespace string, ex obs.Export) error {
-	return WriteFormat(w, namespace, ex, FormatText)
-}
-
-// WriteFormat is Write with an explicit dialect: FormatText for
-// classic 0.0.4 output, FormatOpenMetrics for OpenMetrics 1.0 with
-// exemplars (the caller appends WriteEOF after its last family).
-func WriteFormat(w io.Writer, namespace string, ex obs.Export, format Format) error {
+// Write renders ex under namespace (e.g. "melody") in the given
+// dialect: FormatText for classic 0.0.4 output, FormatOpenMetrics for
+// OpenMetrics 1.0 with exemplars (the caller appends WriteEOF after
+// its last family). Families whose sanitized names collide across
+// instrument kinds are rejected — mixed-type families are invalid
+// exposition — so callers find naming clashes in tests, not in their
+// scraper logs.
+func Write(w io.Writer, namespace string, ex obs.Export, format Format) error {
 	fams := map[string]*family{}
 	add := func(path string, k kind, s series) error {
 		name, labels := mapPath(namespace, path, k)
@@ -255,7 +250,7 @@ func writeSeries(w io.Writer, f *family, s series, format Format) error {
 // the bucket carries none. Exemplars exist only in the OpenMetrics
 // grammar — the classic 0.0.4 format permits nothing after the sample
 // value, and standard parsers fail the whole scrape on trailing
-// tokens — so WriteFormat requests this suffix only under
+// tokens — so Write requests this suffix only under
 // FormatOpenMetrics. The timestamp is Unix seconds with millisecond
 // precision, omitted when the exemplar has no time.
 func exemplarSuffix(e *obs.Exemplar) string {

@@ -55,7 +55,7 @@ melody_runner_cells_run_total 3
 func render(t *testing.T, reg *obs.Registry) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if err := Write(&buf, "melody", reg.Export()); err != nil {
+	if err := Write(&buf, "melody", reg.Export(), FormatText); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -282,7 +282,7 @@ func TestMixedKindCollisionRejected(t *testing.T) {
 	// Histogram at the same sanitized family name as the gauge.
 	reg.Histogram("x/y").Record(1)
 	var buf bytes.Buffer
-	if err := Write(&buf, "melody", reg.Export()); err == nil {
+	if err := Write(&buf, "melody", reg.Export(), FormatText); err == nil {
 		t.Fatal("mixed-kind family collision not rejected")
 	}
 }

@@ -39,7 +39,7 @@ type Gauge struct {
 
 // Set stores v. Non-finite values (NaN, ±Inf) are ignored — the gauge
 // keeps its last finite value — so one bad computation cannot make the
-// registry's JSON snapshot unmarshalable.
+// registry's JSON export unmarshalable.
 func (g *Gauge) Set(v float64) {
 	if g != nil && !math.IsNaN(v) && !math.IsInf(v, 0) {
 		g.bits.Store(math.Float64bits(v))
@@ -122,69 +122,33 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Snapshot is the JSON shape of a registry dump. Map keys marshal in
-// sorted order, so the dump is deterministic for a given state.
-type Snapshot struct {
-	Counters   map[string]uint64  `json:"counters"`
-	Gauges     map[string]float64 `json:"gauges"`
-	Histograms map[string]Summary `json:"histograms"`
-}
-
-// Snapshot captures every instrument's current value.
-func (r *Registry) Snapshot() Snapshot {
-	s := Snapshot{
-		Counters:   map[string]uint64{},
-		Gauges:     map[string]float64{},
-		Histograms: map[string]Summary{},
-	}
-	counters, gauges, hists := r.instruments()
-	for k, v := range counters {
-		s.Counters[k] = v.Value()
-	}
-	for k, v := range gauges {
-		s.Gauges[k] = v.Value()
-	}
-	for k, v := range hists {
-		s.Histograms[k] = v.Summarize()
-	}
-	return s
-}
-
-// instruments copies the instrument maps under the registry lock, so
-// the read views (Snapshot, Export) then read values from the
-// instruments' own atomics and locks without holding the registry's.
-// A nil registry has no instruments.
-func (r *Registry) instruments() (map[string]*Counter, map[string]*Gauge, map[string]*Histogram) {
-	if r == nil {
-		return nil, nil, nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists)
-}
-
-// Export is the bucket-granularity counterpart of Snapshot, consumed by
-// encoders that need more than a Summary — notably the Prometheus text
-// exposition in obs/prom, whose histogram series require the cumulative
-// bucket ladder.
+// Export is the one read of a registry: the run manifest's registry
+// section, the /metrics exposition (obs/prom) and melodydiff all take
+// it. Map keys marshal in sorted order and a histogram marshals as its
+// Summary, so the JSON is deterministic for a given state.
 type Export struct {
-	Counters   map[string]uint64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramExport
+	Counters   map[string]uint64          `json:"counters"`
+	Gauges     map[string]float64         `json:"gauges"`
+	Histograms map[string]HistogramExport `json:"histograms"`
 }
 
-// Export captures every instrument at full fidelity. Like Snapshot it
-// holds the registry lock only to copy the instrument maps; values are
-// read afterwards from the instruments' own atomics/locks, so an export
-// taken mid-run never blocks recording for longer than one instrument's
-// critical section.
+// Export captures every instrument; a nil registry has none. It holds
+// the registry lock only to copy the instrument maps; values are read
+// afterwards from the instruments' own atomics/locks, so an export
+// taken mid-run never blocks recording for longer than one
+// instrument's critical section.
 func (r *Registry) Export() Export {
 	ex := Export{
 		Counters:   map[string]uint64{},
 		Gauges:     map[string]float64{},
 		Histograms: map[string]HistogramExport{},
 	}
-	counters, gauges, hists := r.instruments()
+	if r == nil {
+		return ex
+	}
+	r.mu.Lock()
+	counters, gauges, hists := maps.Clone(r.counters), maps.Clone(r.gauges), maps.Clone(r.hists)
+	r.mu.Unlock()
 	for k, v := range counters {
 		ex.Counters[k] = v.Value()
 	}

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math"
+	"strings"
 	"sync"
 	"testing"
+
+	"github.com/moatlab/melody/internal/mem"
+	"github.com/moatlab/melody/internal/sim"
 )
 
 func TestRegistryGetOrCreate(t *testing.T) {
@@ -41,9 +45,9 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 		t.Fatal("nil registry returned a histogram")
 	}
 	NewHistogram().Merge(r.Histogram("z")) // merge of nil: no-op
-	s := r.Snapshot()
+	s := r.Export()
 	if len(s.Counters) != 0 {
-		t.Fatal("nil registry snapshot non-empty")
+		t.Fatal("nil registry export non-empty")
 	}
 }
 
@@ -65,7 +69,7 @@ func TestRegistryConcurrentAccess(t *testing.T) {
 	if got := r.Counter("shared").Value(); got != 8000 {
 		t.Fatalf("concurrent counter = %d, want 8000", got)
 	}
-	if got := r.Histogram("h").Count(); got != 8000 {
+	if got := r.Histogram("h").Export().Count; got != 8000 {
 		t.Fatalf("concurrent histogram count = %d, want 8000", got)
 	}
 }
@@ -79,11 +83,11 @@ func TestRegistryJSONDeterministic(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		h.Record(float64(i))
 	}
-	a, err := json.Marshal(r.Snapshot())
+	a, err := json.Marshal(r.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := json.Marshal(r.Snapshot())
+	b, err := json.Marshal(r.Export())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,3 +121,42 @@ func TestGaugeNonFiniteIgnored(t *testing.T) {
 		t.Fatalf("gauge = %v, want last finite value 3.5", v)
 	}
 }
+
+// BenchmarkRegistryExport times Export of a registry shaped like the
+// one a fig8a+fig9b sweep leaves: per-cell device observers merged for
+// EMR2S Local, NUMA and CXL-A/B/C and EMR2S' Local and CXL-D (a latency
+// histogram each, four component histograms per CXL config, read,
+// write and stall counters), the runner counters and the cell wall-time
+// histogram — 24 histograms and 28 counters. Every run manifest and
+// /metrics scrape pays this once.
+func BenchmarkRegistryExport(b *testing.B) {
+	r := sim.NewRand(1)
+	reg := NewRegistry()
+	for _, name := range []string{"engine/experiments_run", "runner/cache_hit", "runner/cache_miss",
+		"runner/cache_wait", "runner/cells_run", "runner/cells_sampled"} {
+		reg.Counter(name).Add(r.Uint64n(1000))
+	}
+	for i := 0; i < 100; i++ {
+		reg.Histogram("runner/cell_wall_ms").Record(r.Exp(20))
+	}
+	for _, dev := range []string{"EMR2S/Local", "EMR2S/NUMA", "EMR2S/CXL-A", "EMR2S/CXL-B",
+		"EMR2S/CXL-C", "EMR2S'/Local", "EMR2S'/CXL-D"} {
+		o := NewDeviceObserver()
+		cxl := strings.Contains(dev, "CXL")
+		for i := 0; i < 20_000; i++ {
+			a := mem.AccessObservation{Kind: mem.Kind(r.Intn(3)), Done: 90 + r.Exp(150), Attributed: cxl,
+				LinkReqNs: r.Exp(30), SchedWaitNs: r.Exp(60), MediaNs: 40 + r.Exp(50), LinkRspNs: r.Exp(30),
+				Hiccup: r.Intn(100) == 0}
+			o.ObserveAccess(a)
+		}
+		o.MergeInto(reg, "device/"+dev)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		exportSink = reg.Export()
+	}
+}
+
+// exportSink keeps BenchmarkRegistryExport's result live.
+var exportSink Export

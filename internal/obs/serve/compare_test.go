@@ -32,11 +32,11 @@ func latencyExec(ctx context.Context, sp spec.RunSpec, notify func(jobs.Event)) 
 		Cells: []melody.CellTiming{
 			{Workload: "w", Config: "CXL-B", Platform: "EMR2S", Seed: sp.Seed, WallMs: 2},
 		},
-		Registry: obs.Snapshot{
+		Registry: obs.Export{
 			Counters: map[string]uint64{},
 			Gauges:   map[string]float64{},
-			Histograms: map[string]obs.Summary{
-				"device/EMR2S/CXL-B/latency_ns": {Count: 100, Mean: mean, P99: mean * 2},
+			Histograms: map[string]obs.HistogramExport{
+				"device/EMR2S/CXL-B/latency_ns": {Summary: obs.Summary{Count: 100, Mean: mean, P99: mean * 2}},
 			},
 		},
 	}

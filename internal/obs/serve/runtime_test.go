@@ -43,8 +43,8 @@ func TestRuntimeSamplerMapsReading(t *testing.T) {
 		t.Fatalf("uptime_seconds = %v", v)
 	}
 	h := reg.Histogram("runtime/gc_pause_ns")
-	if h.Count() != 3 || h.Sum() != 6000 {
-		t.Fatalf("gc_pause_ns count=%d sum=%v", h.Count(), h.Sum())
+	if ex := h.Export(); ex.Count != 3 || ex.Sum != 6000 {
+		t.Fatalf("gc_pause_ns count=%d sum=%v", ex.Count, ex.Sum)
 	}
 
 	// The next sample asks for pauses since the previous NumGC.
@@ -56,8 +56,8 @@ func TestRuntimeSamplerMapsReading(t *testing.T) {
 	if len(askedPrev) != 2 || askedPrev[0] != 0 || askedPrev[1] != 7 {
 		t.Fatalf("prevNumGC handshake = %v, want [0 7]", askedPrev)
 	}
-	if h.Count() != 3 {
-		t.Fatalf("no-new-cycles sample recorded pauses: count=%d", h.Count())
+	if n := h.Export().Count; n != 3 {
+		t.Fatalf("no-new-cycles sample recorded pauses: count=%d", n)
 	}
 }
 
@@ -83,12 +83,13 @@ func TestRuntimeSamplerPauseRingWraparound(t *testing.T) {
 	// First sample: prev=0, gap of 600 cycles >> ring depth.
 	rs.sample()
 	h := reg.Histogram("runtime/gc_pause_ns")
-	if h.Count() != 256 {
-		t.Fatalf("wrapped sample recorded %d pauses, want 256", h.Count())
+	ex := h.Export()
+	if ex.Count != 256 {
+		t.Fatalf("wrapped sample recorded %d pauses, want 256", ex.Count)
 	}
 	// Newest-biased: the retained pauses are cycles 345..600.
-	if h.Min() != 345 || h.Max() != 600 {
-		t.Fatalf("wrapped sample spans [%v, %v], want [345, 600]", h.Min(), h.Max())
+	if ex.Min != 345 || ex.Max != 600 {
+		t.Fatalf("wrapped sample spans [%v, %v], want [345, 600]", ex.Min, ex.Max)
 	}
 
 	// A later small advance records exactly the new cycles.
@@ -99,8 +100,8 @@ func TestRuntimeSamplerPauseRingWraparound(t *testing.T) {
 		return hostprof.Reading{NumGC: cur + 2, PauseNs: []float64{7, 9}}
 	}
 	rs.sample()
-	if h.Count() != 258 {
-		t.Fatalf("count after advance = %d, want 258", h.Count())
+	if n := h.Export().Count; n != 258 {
+		t.Fatalf("count after advance = %d, want 258", n)
 	}
 }
 

@@ -268,7 +268,7 @@ func (s *Server) metrics(w http.ResponseWriter, r *http.Request) {
 		ns  string
 		reg *obs.Registry
 	}{{EngineNamespace, s.registry}, {EngineNamespace, s.crossreg}, {SelfNamespace, s.self}} {
-		if err := prom.WriteFormat(w, sec.ns, sec.reg.Export(), format); err != nil {
+		if err := prom.Write(w, sec.ns, sec.reg.Export(), format); err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}

@@ -69,7 +69,7 @@ func TestServeSelfCountersStayOutOfEngineRegistry(t *testing.T) {
 	_, ts, reg := newTestServer(t)
 	get(t, ts.URL+"/metrics")
 	get(t, ts.URL+"/progress")
-	snap := reg.Snapshot()
+	snap := reg.Export()
 	// serve/ self counters, http/ RED middleware instruments and
 	// runtime/ gauges all belong to the self-registry; any of them in
 	// the engine registry would break manifest byte-identity.

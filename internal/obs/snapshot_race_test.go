@@ -6,14 +6,14 @@ import (
 	"testing"
 )
 
-// TestSnapshotUnderConcurrentRecording hammers Registry.Snapshot and
-// Registry.Export while many goroutines add to counters and record into
-// histograms — the exact interleaving a live /metrics scrape performs
-// against a running engine. Run under -race it proves the scrape path
-// is data-race free; the assertions prove every observed snapshot is
-// internally consistent: a histogram's exported count always equals its
-// cumulative bucket total (all fields come from one critical section),
-// and counters never run backwards between observations.
+// TestSnapshotUnderConcurrentRecording hammers Registry.Export while
+// many goroutines add to counters and record into histograms — the
+// exact interleaving a live /metrics scrape performs against a running
+// engine. Run under -race it proves the scrape path is data-race free;
+// the assertions prove every observed export is internally consistent:
+// a histogram's exported count always equals its cumulative bucket
+// total (all fields come from one critical section), and counters
+// never run backwards between observations.
 func TestSnapshotUnderConcurrentRecording(t *testing.T) {
 	reg := NewRegistry()
 	const (
@@ -49,14 +49,13 @@ func TestSnapshotUnderConcurrentRecording(t *testing.T) {
 			defer snapWG.Done()
 			var lastCount, lastHist uint64
 			for i := 0; i < snapshots && !stop.Load(); i++ {
-				snap := reg.Snapshot()
-				if n := snap.Counters[countName]; n < lastCount {
+				ex := reg.Export()
+				if n := ex.Counters[countName]; n < lastCount {
 					t.Errorf("counter ran backwards: %d after %d", n, lastCount)
 					return
 				} else {
 					lastCount = n
 				}
-				ex := reg.Export()
 				he := ex.Histograms[histName]
 				var cum uint64
 				if len(he.Buckets) > 0 {

@@ -1,6 +1,6 @@
 // Package stats provides the statistical primitives Melody experiments
-// rely on: percentiles, empirical CDFs, correlation, linear fits, and the
-// distribution summaries behind the paper's violin plots.
+// rely on: percentiles, correlation, linear fits, and the distribution
+// summaries behind the paper's violin plots.
 package stats
 
 import (
@@ -111,64 +111,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// FractionBelow returns the fraction of xs strictly below limit.
-func FractionBelow(xs []float64, limit float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	n := 0
-	for _, x := range xs {
-		if x < limit {
-			n++
-		}
-	}
-	return float64(n) / float64(len(xs))
-}
-
-// CDFPoint is one (value, cumulative fraction) step of an empirical CDF.
-type CDFPoint struct {
-	Value    float64
-	Fraction float64
-}
-
-// CDF computes the empirical CDF of xs: for each distinct value v the
-// fraction of samples <= v. The result is sorted by Value.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	out := make([]CDFPoint, 0, len(sorted))
-	n := float64(len(sorted))
-	for i := 0; i < len(sorted); i++ {
-		// Collapse runs of equal values into one step.
-		if i+1 < len(sorted) && sorted[i+1] == sorted[i] {
-			continue
-		}
-		out = append(out, CDFPoint{Value: sorted[i], Fraction: float64(i+1) / n})
-	}
-	return out
-}
-
-// CDFAt evaluates an empirical CDF (as returned by CDF) at value v.
-func CDFAt(cdf []CDFPoint, v float64) float64 {
-	// Binary search for the last point with Value <= v.
-	lo, hi := 0, len(cdf)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if cdf[mid].Value <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo == 0 {
-		return 0
-	}
-	return cdf[lo-1].Fraction
-}
-
 // Pearson returns the Pearson correlation coefficient of (xs, ys).
 // It returns NaN if the lengths differ, are < 2, or either side has zero
 // variance.
@@ -242,26 +184,4 @@ func Summarize(xs []float64) Summary {
 func (s Summary) String() string {
 	return fmt.Sprintf("n=%d mean=%.2f sd=%.2f min=%.2f p25=%.2f p50=%.2f p75=%.2f p90=%.2f p99=%.2f p99.9=%.2f max=%.2f",
 		s.N, s.Mean, s.Stddev, s.Min, s.P25, s.P50, s.P75, s.P90, s.P99, s.P999, s.Max)
-}
-
-// Histogram bins xs into nbins equal-width bins over [min, max] and
-// returns the bin counts. Values outside the range clamp to the edge
-// bins. Used for violin-style density summaries.
-func Histogram(xs []float64, min, max float64, nbins int) []int {
-	counts := make([]int, nbins)
-	if nbins == 0 || max <= min {
-		return counts
-	}
-	w := (max - min) / float64(nbins)
-	for _, x := range xs {
-		i := int((x - min) / w)
-		if i < 0 {
-			i = 0
-		}
-		if i >= nbins {
-			i = nbins - 1
-		}
-		counts[i]++
-	}
-	return counts
 }

@@ -90,62 +90,6 @@ func TestMinMax(t *testing.T) {
 	}
 }
 
-func TestFractionBelow(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	if got := FractionBelow(xs, 3); !almost(got, 0.4, 1e-12) {
-		t.Fatalf("FractionBelow = %v", got)
-	}
-	if got := FractionBelow(xs, 100); !almost(got, 1, 1e-12) {
-		t.Fatalf("FractionBelow(all) = %v", got)
-	}
-}
-
-func TestCDFSteps(t *testing.T) {
-	xs := []float64{1, 1, 2, 3}
-	cdf := CDF(xs)
-	if len(cdf) != 3 {
-		t.Fatalf("CDF has %d steps, want 3", len(cdf))
-	}
-	if !almost(CDFAt(cdf, 1), 0.5, 1e-12) {
-		t.Fatalf("CDFAt(1) = %v", CDFAt(cdf, 1))
-	}
-	if !almost(CDFAt(cdf, 2.5), 0.75, 1e-12) {
-		t.Fatalf("CDFAt(2.5) = %v", CDFAt(cdf, 2.5))
-	}
-	if CDFAt(cdf, 0) != 0 {
-		t.Fatalf("CDFAt below min = %v", CDFAt(cdf, 0))
-	}
-	if CDFAt(cdf, 99) != 1 {
-		t.Fatalf("CDFAt above max = %v", CDFAt(cdf, 99))
-	}
-}
-
-func TestCDFPropertyMonotone(t *testing.T) {
-	f := func(raw []float64) bool {
-		xs := make([]float64, 0, len(raw))
-		for _, v := range raw {
-			if !math.IsNaN(v) && !math.IsInf(v, 0) {
-				xs = append(xs, v)
-			}
-		}
-		cdf := CDF(xs)
-		prevV, prevF := math.Inf(-1), 0.0
-		for _, p := range cdf {
-			if p.Value <= prevV || p.Fraction < prevF {
-				return false
-			}
-			prevV, prevF = p.Value, p.Fraction
-		}
-		if len(cdf) > 0 && !almost(cdf[len(cdf)-1].Fraction, 1, 1e-12) {
-			return false
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5}
 	ys := []float64{2, 4, 6, 8, 10}
@@ -191,20 +135,5 @@ func TestSummarizeOrdering(t *testing.T) {
 	}
 	if s.String() == "" {
 		t.Fatal("empty String()")
-	}
-}
-
-func TestHistogram(t *testing.T) {
-	xs := []float64{0, 0.5, 1, 1.5, 2, 5, -3}
-	h := Histogram(xs, 0, 2, 4)
-	total := 0
-	for _, c := range h {
-		total += c
-	}
-	if total != len(xs) {
-		t.Fatalf("histogram total = %d, want %d (clamping)", total, len(xs))
-	}
-	if h[0] < 2 { // 0, 0.5 and the clamped -3
-		t.Fatalf("first bin = %d", h[0])
 	}
 }
